@@ -35,6 +35,9 @@ class FunctionSpec:
         return self.value(np.asarray(x, dtype=float))
 
 
+ZERO = FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
+                    gradient=lambda x: np.zeros_like(x), name="zero")
+
 @dataclass(frozen=True)
 class BilinearFormSpec:
     """Declarative description of the bilinear form a_h.

@@ -4,15 +4,16 @@ Meshes are immutable after construction: the coordinate and connectivity
 arrays are write-protected, and every operation returns a new mesh.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMeshError, GeometryError, InvalidArgumentError
 
-COORD_TOL = 1e-14          # per-coordinate tolerance for "identical element"
+COORD_TOL = 1e-14          # per-coordinate tolerance for "identical point"
 MEASURE_TOL = 1e-12
-SHAPE_REGULARITY_BOUND = 10.0
+KEY_SCALE = 1e9            # points are keyed by their coordinates rounded to 1e-9
 
 
 class Mesh:
@@ -214,54 +215,57 @@ class MeshPair:
         return np.where(~self.shared_mask_b)[0]
 
 
-def _canonical_vertices(mesh, idx):
-    """Element vertex coordinates sorted lexicographically (orientation-free)."""
-    v = mesh.element_vertices[idx]
-    order = np.lexsort(v.T[::-1])
-    return v[order]
+def match_points(x, y):
+    """Index of the row of y at the same point as each row of x, or -1.
+
+    Rows are keyed by their coordinates rounded to 1e-9.  A point within
+    COORD_TOL of a rounding boundary can round to a neighbouring key, so the
+    3^d keys around each point of x are probed, and a match is confirmed when
+    every coordinate agrees to within COORD_TOL.
+    """
+    kx = np.round(x * KEY_SCALE).astype(np.int64)
+    ky = np.round(y * KEY_SCALE).astype(np.int64)
+    lo = np.minimum(kx.min(axis=0), ky.min(axis=0)) - 1
+    dims = tuple(np.maximum(kx.max(axis=0), ky.max(axis=0)) - lo + 2)
+    flat_y = np.ravel_multi_index((ky - lo).T, dims)
+    order = np.argsort(flat_y)
+    sorted_y = flat_y[order]
+    out = np.full(len(x), -1, dtype=np.int64)
+    for offset in itertools.product((-1, 0, 1), repeat=x.shape[1]):
+        todo = np.flatnonzero(out < 0)
+        flat = np.ravel_multi_index((kx[todo] + offset - lo).T, dims)
+        pos = np.minimum(np.searchsorted(sorted_y, flat), len(sorted_y) - 1)
+        cand = order[pos]
+        hit = (sorted_y[pos] == flat) & np.all(np.abs(x[todo] - y[cand]) <= COORD_TOL,
+                                               axis=1)
+        out[todo[hit]] = cand[hit]
+    return out
 
 
 def classify_pair(a, b, gamma_nominal):
     """Match geometrically identical elements of two meshes of the same domain.
 
-    Elements are identical when their vertex coordinates agree to within
-    1e-14 per coordinate.  The differing-region measure is the domain measure
-    minus the measure of the shared elements.
+    Nodes are identical when their coordinates agree to within 1e-14 per
+    coordinate, and elements when they have the same identical nodes.  The
+    differing-region measure is the domain measure minus the measure of the
+    shared elements.
     """
     if a.dimension != b.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
-    # bin elements of b by quantized centroid; probe neighbor bins for a's centroids
-    scale = 1e9
-    cent_b = b.element_vertices.mean(axis=1)
-    bins = {}
-    for j, c in enumerate(np.round(cent_b * scale).astype(np.int64)):
-        bins.setdefault(tuple(c), []).append(j)
-
-    cent_a = a.element_vertices.mean(axis=1)
-    keys_a = np.round(cent_a * scale).astype(np.int64)
-    if a.dimension == 1:
-        neighbor_offsets = [(-1,), (0,), (1,)]
-    else:
-        neighbor_offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-
-    shared = set()
-    mask_a = np.zeros(a.n_elements, dtype=bool)
+    # an element is a sorted row of node ids in b (-1 for an unmatched node);
+    # rows that np.unique numbers alike are the same element
+    rows = np.sort(np.concatenate([match_points(a.nodes, b.nodes)[a.elements],
+                                   b.elements]), axis=1)
+    _, row_id = np.unique(rows, axis=0, return_inverse=True)
+    row_id = row_id.ravel()
+    element_in_b = np.full(row_id.max() + 1, -1, dtype=np.int64)
+    element_in_b[row_id[a.n_elements:]] = np.arange(b.n_elements)
+    match = element_in_b[row_id[:a.n_elements]]
+    mask_a = match >= 0
+    ia = np.flatnonzero(mask_a)
     mask_b = np.zeros(b.n_elements, dtype=bool)
-    for i in range(a.n_elements):
-        va = _canonical_vertices(a, i)
-        key = tuple(keys_a[i])
-        for off in neighbor_offsets:
-            for j in bins.get(tuple(k + o for k, o in zip(key, off)), ()):
-                if mask_b[j]:
-                    continue
-                vb = _canonical_vertices(b, j)
-                if np.all(np.abs(va - vb) <= COORD_TOL):
-                    shared.add((i, j))
-                    mask_a[i] = True
-                    mask_b[j] = True
-                    break
-            if mask_a[i]:
-                break
+    mask_b[match[ia]] = True
+    shared = zip(ia.tolist(), match[ia].tolist())
 
     shared_measure_a = float(a.element_measures[mask_a].sum())
     shared_measure_b = float(b.element_measures[mask_b].sum())

@@ -6,9 +6,10 @@ is a sampled supremum over fixed per-element grids (25 points per interval,
 45 per triangle) and is used only in diagnostics.
 
 Differences of FE functions on a mesh pair are integrated exactly: shared
-elements carry a single polynomial difference; over the differing region,
-element pairs are intersected by convex polygon clipping and the difference
-is integrated on each fragment.
+elements carry a single polynomial difference; the differing region is
+overlaid by simplices that each lie in one element of either mesh (interval
+intersections in 1-D, fan triangles of clipped polygons in 2-D), and the
+difference is integrated on all of them at once.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InvalidArgumentError
-from .forms import FunctionSpec
+from .forms import ZERO
 from .quadrature import quadrature_rule
 from .space import eval_at_physical, eval_on_elements
 
@@ -56,10 +57,10 @@ class CrossMeshDiff:
             raise InvalidArgumentError("functions do not match the meshes of the pair")
 
 
-def _physical_points(mesh, elem_idx, ref_pts):
-    v0 = mesh.element_vertices[elem_idx, 0, :]
-    JT = np.swapaxes(mesh.jacobians[elem_idx], 1, 2)
-    return v0[:, None, :] + np.einsum("qd,kde->kqe", ref_pts, JT)
+def _physical_points(vertices, ref_pts):
+    """Images of reference points under the affine maps of simplices (K, d+1, d)."""
+    JT = vertices[:, 1:, :] - vertices[:, :1, :]
+    return vertices[:, :1, :] + np.einsum("qd,kde->kqe", ref_pts, JT)
 
 
 def sobolev_norm_exact_diff(f, u, spec):
@@ -75,7 +76,8 @@ def sobolev_norm_exact_diff(f, u, spec):
         grid = _GRID_1D if mesh.dimension == 1 else _GRID_2D
         vals, grads = eval_on_elements(space, f.coeffs, elems, grid,
                                        gradients=spec.s == 1)
-        pts = _physical_points(mesh, elems, grid).reshape(-1, mesh.dimension)
+        pts = _physical_points(mesh.element_vertices[elems], grid)
+        pts = pts.reshape(-1, mesh.dimension)
         uvals = np.asarray(u.value(pts)).reshape(vals.shape)
         sup = np.abs(vals - uvals).max()
         if spec.s == 1:
@@ -86,7 +88,7 @@ def sobolev_norm_exact_diff(f, u, spec):
     rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
     vals, grads = eval_on_elements(space, f.coeffs, elems, rule.points,
                                    gradients=spec.s == 1)
-    pts = _physical_points(mesh, elems, rule.points)
+    pts = _physical_points(mesh.element_vertices[elems], rule.points)
     flat = pts.reshape(-1, mesh.dimension)
     uvals = np.asarray(u.value(flat)).reshape(vals.shape)
     det = mesh.jacobian_dets[elems]
@@ -100,8 +102,7 @@ def sobolev_norm_exact_diff(f, u, spec):
 
 def fe_norm(f, spec):
     """Norm of an FE function itself (difference against zero)."""
-    zero = _ZERO_1D if f.space.mesh.dimension == 1 else _ZERO_2D
-    return sobolev_norm_exact_diff(f, zero, spec)
+    return sobolev_norm_exact_diff(f, ZERO, spec)
 
 
 def fe_component_norms(f, k, eta):
@@ -182,23 +183,57 @@ def _polygon_area(poly):
     return 0.5 * s
 
 
-def _fan_triangles(poly):
-    for k in range(1, len(poly) - 1):
-        yield np.array([poly[0], poly[k], poly[k + 1]])
-
-
-def _overlap_pairs_2d(mesh_a, ia, mesh_b, ib):
+def _overlap_pairs(mesh_a, ia, mesh_b, ib):
     """Candidate element pairs with overlapping bounding boxes."""
     va = mesh_a.element_vertices[ia]
     vb = mesh_b.element_vertices[ib]
     lo_a, hi_a = va.min(axis=1), va.max(axis=1)
     lo_b, hi_b = vb.min(axis=1), vb.max(axis=1)
     tol = 1e-13
-    ok = ((lo_a[:, None, 0] <= hi_b[None, :, 0] + tol)
-          & (lo_b[None, :, 0] <= hi_a[:, None, 0] + tol)
-          & (lo_a[:, None, 1] <= hi_b[None, :, 1] + tol)
-          & (lo_b[None, :, 1] <= hi_a[:, None, 1] + tol))
+    ok = np.all((lo_a[:, None, :] <= hi_b[None, :, :] + tol)
+                & (lo_b[None, :, :] <= hi_a[:, None, :] + tol), axis=2)
     return np.argwhere(ok)
+
+
+def _fragments(mesh_a, dia, mesh_b, dib):
+    """Overlay of elements dia of mesh_a with elements dib of mesh_b.
+
+    Returns the fragments as simplices (F, d+1, d), the parent element of each
+    in mesh_a and in mesh_b, and the measure they cover.  Overlaps of measure
+    at most CLIP_VERTEX_TOL are dropped.
+    """
+    pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
+    ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
+    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    if mesh_a.dimension == 1:
+        lo = np.maximum(va.min(axis=1), vb.min(axis=1))
+        hi = np.minimum(va.max(axis=1), vb.max(axis=1))
+        keep = (hi - lo)[:, 0] > CLIP_VERTEX_TOL
+        return (np.stack([lo, hi], axis=1)[keep], ia[keep], ib[keep],
+                float((hi - lo)[keep].sum()))
+    simplices, parent_a, parent_b = [], [], []
+    covered = 0.0
+    for i, j, tri_a, tri_b in zip(ia, ib, va.tolist(), vb.tolist()):
+        poly = _dedupe_polygon(_clip_convex(tri_a, tri_b))
+        if len(poly) < 3:
+            continue
+        area = _polygon_area(poly)
+        if area <= CLIP_VERTEX_TOL:
+            continue
+        covered += area
+        simplices += [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
+        parent_a += [i] * (len(poly) - 2)
+        parent_b += [j] * (len(poly) - 2)
+    return (np.array(simplices).reshape(-1, 3, 2), np.array(parent_a, dtype=np.int64),
+            np.array(parent_b, dtype=np.int64), covered)
+
+
+def _squared_difference(va, ga, vb, gb, weights, det):
+    """Quadrature of (va - vb)^2, plus |ga - gb|^2 when gradients are given."""
+    total = np.einsum("kq,q,k->", (va - vb) ** 2, weights, det)
+    if ga is not None:
+        total += np.einsum("kqd,q,k->", (ga - gb) ** 2, weights, det)
+    return total
 
 
 def cross_mesh_norm(diff, spec):
@@ -220,91 +255,28 @@ def cross_mesh_norm(diff, spec):
         if spec.region is not None:
             keep = np.isin(ia, np.fromiter(spec.region, dtype=np.int64))
             ia, ib = ia[keep], ib[keep]
-        pts = _physical_points(mesh_a, ia, rule.points)
+        pts = _physical_points(mesh_a.element_vertices[ia], rule.points)
         va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
         vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
-        det = mesh_a.jacobian_dets[ia]
-        total += np.einsum("kq,q,k->", (va - vb) ** 2, rule.weights, det)
-        if need_grad:
-            total += np.einsum("kqd,q,k->", (ga - gb) ** 2, rule.weights, det)
+        total += _squared_difference(va, ga, vb, gb, rule.weights,
+                                     mesh_a.jacobian_dets[ia])
 
     dia = pair.differing_elements_a()
-    dib = pair.differing_elements_b()
     if spec.region is not None:
         dia = dia[np.isin(dia, np.fromiter(spec.region, dtype=np.int64))]
-    frag_measure = 0.0
-    if dia.size and dib.size:
-        if mesh_a.dimension == 1:
-            frag_total, frag_measure = _integrate_fragments_1d(
-                f_a, f_b, dia, dib, rule, need_grad)
-        else:
-            frag_total, frag_measure = _integrate_fragments_2d(
-                f_a, f_b, dia, dib, rule, need_grad)
-        total += frag_total
+    simplices, ia, ib, covered = _fragments(mesh_a, dia, mesh_b,
+                                            pair.differing_elements_b())
+    pts = _physical_points(simplices, rule.points)
+    va, ga = eval_at_physical(sa, f_a.coeffs, ia, pts, gradients=need_grad)
+    vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
+    det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
+    total += _squared_difference(va, ga, vb, gb, rule.weights, det)
     if spec.region is None and \
-            abs(frag_measure - pair.differing_region_measure) > CONSERVATION_TOL:
+            abs(covered - pair.differing_region_measure) > CONSERVATION_TOL:
         raise GeometryError(
-            f"clipped fragments cover {frag_measure:.17g} of a differing region "
+            f"clipped fragments cover {covered:.17g} of a differing region "
             f"of measure {pair.differing_region_measure:.17g}")
     return float(np.sqrt(total))
-
-
-def _integrate_fragments_1d(f_a, f_b, dia, dib, rule, need_grad):
-    mesh_a, mesh_b = f_a.space.mesh, f_b.space.mesh
-    xa = np.sort(mesh_a.element_vertices[dia, :, 0], axis=1)
-    xb = np.sort(mesh_b.element_vertices[dib, :, 0], axis=1)
-    total = 0.0
-    covered = 0.0
-    t = rule.points[:, 0]
-    for i, (a0, a1) in zip(dia, xa):
-        for j, (b0, b1) in zip(dib, xb):
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi - lo <= CLIP_VERTEX_TOL:
-                continue
-            covered += hi - lo
-            pts = (lo + (hi - lo) * t)[None, :, None]
-            va, ga = eval_at_physical(f_a.space, f_a.coeffs, np.array([i]), pts,
-                                      gradients=need_grad)
-            vb, gb = eval_at_physical(f_b.space, f_b.coeffs, np.array([j]), pts,
-                                      gradients=need_grad)
-            total += (hi - lo) * np.sum(rule.weights * (va[0] - vb[0]) ** 2)
-            if need_grad:
-                total += (hi - lo) * np.sum(rule.weights
-                                            * (ga[0, :, 0] - gb[0, :, 0]) ** 2)
-    return total, covered
-
-
-def _integrate_fragments_2d(f_a, f_b, dia, dib, rule, need_grad):
-    mesh_a, mesh_b = f_a.space.mesh, f_b.space.mesh
-    total = 0.0
-    covered = 0.0
-    pairs = _overlap_pairs_2d(mesh_a, dia, mesh_b, dib)
-    for ka, kb in pairs:
-        i, j = int(dia[ka]), int(dib[kb])
-        tri_a = [tuple(p) for p in mesh_a.element_vertices[i]]
-        tri_b = [tuple(p) for p in mesh_b.element_vertices[j]]
-        poly = _dedupe_polygon(_clip_convex(tri_a, tri_b))
-        if len(poly) < 3:
-            continue
-        area = _polygon_area(poly)
-        if area <= CLIP_VERTEX_TOL:
-            continue
-        covered += area
-        for tri in _fan_triangles(poly):
-            J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            if abs(det) < CLIP_VERTEX_TOL ** 2:
-                continue
-            pts = (tri[0][None, :] + rule.points @ J.T)[None, :, :]
-            va, ga = eval_at_physical(f_a.space, f_a.coeffs, np.array([i]), pts,
-                                      gradients=need_grad)
-            vb, gb = eval_at_physical(f_b.space, f_b.coeffs, np.array([j]), pts,
-                                      gradients=need_grad)
-            total += abs(det) * np.sum(rule.weights * (va[0] - vb[0]) ** 2)
-            if need_grad:
-                total += abs(det) * np.sum(rule.weights
-                                           * np.sum((ga[0] - gb[0]) ** 2, axis=1))
-    return total, covered
 
 
 def seminorm_exact(u, k, eta, approximate_ok=False):
@@ -343,8 +315,3 @@ def support_measure(f, threshold=1e-13):
     active |= np.abs(f.coeffs[space.element_dofs]).max(axis=1) > threshold
     return float(mesh.element_measures[active].sum())
 
-
-_ZERO_1D = FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
-                        gradient=lambda x: np.zeros((x.shape[0], 1)), name="zero")
-_ZERO_2D = FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
-                        gradient=lambda x: np.zeros((x.shape[0], 2)), name="zero")

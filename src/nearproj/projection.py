@@ -96,7 +96,9 @@ def project(space, form, u, cfg=SolverConfig()):
     b = assemble_load(space, form, u)
     method = cfg.method
     if method == "auto":
-        method = "direct" if space.n_free <= DENSE_LIMIT else "cg"
+        # 1-D matrices are banded, so sparse LU factors them without fill-in
+        direct = space.n_free <= DENSE_LIMIT or space.mesh.dimension == 1
+        method = "direct" if direct else "cg"
     if method == "cg":
         if not _is_symmetric(A):
             method = "direct"   # CG requires symmetry; adr falls back

@@ -11,7 +11,7 @@ are affine, so physical gradients are reference gradients times J^{-1}.
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfDomainError
-from .mesh import COORD_TOL
+from .mesh import match_points
 
 BARY_TOL = 1e-12
 
@@ -115,13 +115,6 @@ class FeSpace:
         self.free_index = np.full(self.n_dofs, -1, dtype=np.int64)
         self.free_index[self.free_dofs] = np.arange(self.n_free)
 
-        # dof -> incident elements (list of arrays), used by the intersection projector
-        order = np.argsort(self.element_dofs.ravel(), kind="stable")
-        flat = self.element_dofs.ravel()[order]
-        elems = np.repeat(np.arange(mesh.n_elements), self.element_dofs.shape[1])[order]
-        starts = np.searchsorted(flat, np.arange(self.n_dofs))
-        ends = np.searchsorted(flat, np.arange(self.n_dofs), side="right")
-        self.dof_elements = [elems[s:e] for s, e in zip(starts, ends)]
         for arr in (self.element_dofs, self.dof_coords, self.dirichlet_mask,
                     self.free_dofs, self.free_index):
             arr.setflags(write=False)
@@ -210,41 +203,16 @@ def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
     ref = np.einsum("kde,kqe->kqd", Jinv, phys_pts - v0[:, None, :])
     K, nq, d = ref.shape
     V = shape_values(space.mesh.dimension, space.degree, ref.reshape(-1, d))
-    V = V.reshape(K, nq, -1)
+    V = V.reshape(K, nq, space.n_local)
     c = coeffs[space.element_dofs[elem_idx]]
     vals = np.einsum("kl,kql->kq", c, V)
     if not gradients:
         return vals, None
     G = shape_grads(space.mesh.dimension, space.degree, ref.reshape(-1, d))
-    G = G.reshape(K, nq, -1, d)
+    G = G.reshape(K, nq, space.n_local, d)
     phys = np.einsum("kqld,kde->kqle", G, Jinv)
     grads = np.einsum("kl,kqle->kqe", c, phys)
     return vals, grads
-
-
-def _match_dof_coords(space_from, space_to):
-    """Map DOF index in space_from -> DOF index in space_to at the identical
-    coordinate (within 1e-14 per coordinate), or -1."""
-    scale = 1e9
-    bins = {}
-    for j, c in enumerate(np.round(space_to.dof_coords * scale).astype(np.int64)):
-        bins.setdefault(tuple(c), []).append(j)
-    dim = space_from.mesh.dimension
-    offsets = ([(-1,), (0,), (1,)] if dim == 1
-               else [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)])
-    out = np.full(space_from.n_dofs, -1, dtype=np.int64)
-    keys = np.round(space_from.dof_coords * scale).astype(np.int64)
-    for i in range(space_from.n_dofs):
-        key = tuple(keys[i])
-        for off in offsets:
-            for j in bins.get(tuple(k + o for k, o in zip(key, off)), ()):
-                if np.all(np.abs(space_from.dof_coords[i] - space_to.dof_coords[j])
-                          <= COORD_TOL):
-                    out[i] = j
-                    break
-            if out[i] >= 0:
-                break
-    return out
 
 
 def shared_dof_mask(pair, space, other):
@@ -256,14 +224,13 @@ def shared_dof_mask(pair, space, other):
     on_a = space.mesh is pair.mesh_a
     mask_own = pair.shared_mask_a if on_a else pair.shared_mask_b
     mask_other = pair.shared_mask_b if on_a else pair.shared_mask_a
-    match = _match_dof_coords(space, other)
-    out = np.zeros(space.n_dofs, dtype=bool)
-    for i in range(space.n_dofs):
-        j = match[i]
-        if j < 0:
-            continue
-        if mask_own[space.dof_elements[i]].all() and mask_other[other.dof_elements[j]].all():
-            out[i] = True
+    match = match_points(space.dof_coords, other.dof_coords)
+    on_differing = np.zeros(space.n_dofs, dtype=bool)
+    on_differing[space.element_dofs[~mask_own]] = True
+    other_on_differing = np.zeros(other.n_dofs, dtype=bool)
+    other_on_differing[other.element_dofs[~mask_other]] = True
+    out = (match >= 0) & ~on_differing
+    out[out] = ~other_on_differing[match[out]]
     return out
 
 

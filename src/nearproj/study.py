@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec, perturbed_form
+from .forms import (MASS, STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec,
+                    perturbed_form)
 from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
                    perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
@@ -66,8 +67,7 @@ FUNCTIONS = {
         gradient=lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
         seminorms={(1, math.inf): 1.0, (2, 2): 2.0, (2, math.inf): 2.0},
         name="bump_quadratic"),
-    "zero": FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
-                         gradient=lambda x: np.zeros_like(x), name="zero"),
+    "zero": ZERO,
 }
 
 
@@ -203,9 +203,8 @@ def run_projection_study(cfg):
         orders = {}
         if level > 0:
             for spec in cfg.norms:
-                prev, cur = values[spec][-2], values[spec][-1]
-                if prev > 0 and cur > 0:
-                    orders[spec] = math.log(prev / cur) / math.log(hs[-2] / hs[-1])
+                if min(values[spec][-2:]) > 0:
+                    orders[spec] = float(observed_orders(hs[-2:], values[spec][-2:])[0])
         rows.append(StudyRow(level, hs[-1], float(2 ** level), norm_values, orders))
     flags = []
     for spec in cfg.norms:

@@ -22,7 +22,6 @@ class RateInputs:
     nu: int = 0
     s: int = 0
     r: int = 2
-    log_factor: bool = False   # metadata only; no log(1/h) fitting is attempted
 
     def __post_init__(self):
         if self.gamma < 0:

@@ -140,5 +140,14 @@ class TestCmdRegularity:
         out = capsys.readouterr().out
         assert "2.2500" in out and "1.2500" in out
 
+    def test_p3_nine_levels(self, capsys):
+        # n = 2048 has more free DOFs than DENSE_LIMIT; the 1-D system is
+        # solved directly and the final orders approach 5/2 - 1/p, 3/2 - 1/p
+        assert main(["regularity", "--p", "3", "--levels", "9"]) == 0
+        last = capsys.readouterr().out.splitlines()[10].split()
+        assert last[0] == "256"
+        assert float(last[2]) == pytest.approx(2.1627, abs=5e-4)
+        assert float(last[4]) == pytest.approx(1.1667, abs=5e-4)
+
     def test_p2_usage_error(self, capsys):
         assert main(["regularity", "--p", "2"]) == 2

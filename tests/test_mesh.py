@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from nearproj import (DegenerateMeshError, InvalidArgumentError, Mesh,
+from nearproj import (DegenerateMeshError, InvalidArgumentError, Mesh, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       perturb_boundary_band, perturb_node_nearest)
+from nearproj.mesh import match_points
+from nearproj.space import shared_dof_mask
 
 
 class TestUniformInterval:
@@ -152,6 +154,26 @@ class TestClassifyPair:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(InvalidArgumentError):
             classify_pair(build_uniform_interval(4), build_uniform_square(4), 1.0)
+
+    def test_node_straddling_a_rounding_boundary(self):
+        # 1/1024 * 1e9 = 976562.5 lies on a rounding boundary of the 1e-9 keys:
+        # nudged by +4e-15 and -4e-15 it rounds to neighbouring keys, yet the
+        # two copies agree to within 1e-14 and must still match
+        m = build_uniform_interval(1024)
+        copies = []
+        for nudge in (4e-15, -4e-15):
+            nodes = m.nodes.copy()
+            nodes[1, 0] += nudge
+            copies.append(Mesh(1, nodes, m.elements, m.boundary_nodes))
+        a, b = copies
+        keys = np.round(np.array([a.nodes[1, 0], b.nodes[1, 0]]) * 1e9)
+        assert keys[0] != keys[1]
+        pair = classify_pair(a, b, 1.0)
+        assert len(pair.shared_elements) == 1024
+        assert pair.differing_region_measure == 0.0
+        sa, sb = build_space(a, 1, dirichlet=True), build_space(b, 1, dirichlet=True)
+        assert shared_dof_mask(pair, sa, sb).all()
+        assert np.array_equal(match_points(a.nodes, b.nodes), np.arange(a.n_nodes))
 
 
 class TestGammaScaling:

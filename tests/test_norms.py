@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec,
+from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec, GeometryError,
                       InvalidArgumentError, MASS, NormSpec, STIFFNESS, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, fe_norm, interpolate_nodal, named_function,
@@ -164,6 +165,42 @@ class TestCrossMeshNorm:
         assert cross_mesh_norm(d, NormSpec(0, 2)) > 0
 
 
+class TestRegionSplit:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_and_differing_regions_add_up(self, dim, pair1d8, pair2d4,
+                                                 sin1d, sin2d):
+        # on the level-0 single-node pair, a norm restricted to the differing
+        # elements (no shared element in the batch) runs, and the squares of
+        # the two restricted norms add up to the full one
+        pair, u = (pair1d8, sin1d) if dim == 1 else (pair2d4, sin2d)
+        sa = build_space(pair.mesh_a, 1, dirichlet=True)
+        sb = build_space(pair.mesh_b, 1, dirichlet=True)
+        d = CrossMeshDiff(project(sa, STIFFNESS, u), project(sb, STIFFNESS, u), pair)
+        shared = frozenset(i for i, _ in pair.shared_elements)
+        differing = frozenset(pair.differing_elements_a().tolist())
+        for s in (0, 1):
+            full = cross_mesh_norm(d, NormSpec(s, 2))
+            parts = [cross_mesh_norm(d, NormSpec(s, 2, region=r))
+                     for r in (shared, differing)]
+            assert parts[1] > 0
+            assert math.hypot(*parts) == pytest.approx(full, rel=1e-13)
+
+
+class TestConservationCheck:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wrong_differing_measure_raises(self, dim, pair1d8, pair2d4):
+        # fragments that cover 1e-8 less than the pair's differing region fail
+        pair = pair1d8 if dim == 1 else pair2d4
+        wrong = dataclasses.replace(
+            pair, differing_region_measure=pair.differing_region_measure + 1e-8)
+        sa = build_space(pair.mesh_a, 1, dirichlet=True)
+        sb = build_space(pair.mesh_b, 1, dirichlet=True)
+        d = CrossMeshDiff(FeFunction(sa, np.ones(sa.n_dofs)),
+                          FeFunction(sb, np.ones(sb.n_dofs)), wrong)
+        with pytest.raises(GeometryError, match="clipped fragments cover"):
+            cross_mesh_norm(d, NormSpec(0, 2))
+
+
 def _p1_at_points(f, pts):
     """Values and gradients of a 2-D P1 function by brute-force point location.
 
@@ -266,9 +303,8 @@ class TestSupportMeasure:
         s = build_space(pair1d8.mesh_a, 1, dirichlet=True)
         other = build_space(pair1d8.mesh_b, 1, dirichlet=True)
         keep = shared_dof_mask(pair1d8, s, other)
-        halo_elements = {e for dof in np.where(~keep)[0]
-                         for e in s.dof_elements[dof]}
-        halo_measure = pair1d8.mesh_a.element_measures[sorted(halo_elements)].sum()
+        halo = np.isin(s.element_dofs, np.where(~keep)[0]).any(axis=1)
+        halo_measure = pair1d8.mesh_a.element_measures[halo].sum()
         for _ in range(20):
             f = random_fe_function(s, rng)
             g = intersection_project(pair1d8, f, other_space=other)

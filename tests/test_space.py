@@ -184,8 +184,8 @@ class TestIntersectionProject:
         f = random_fe_function(s, rng)
         g = intersection_project(pair2d4, f, other_space=other)
         # express g in the other space by matching DOF coordinates
-        from nearproj.space import _match_dof_coords
-        match = _match_dof_coords(s, other)
+        from nearproj.mesh import match_points
+        match = match_points(s.dof_coords, other.dof_coords)
         coeffs_b = np.zeros(other.n_dofs)
         for i in np.nonzero(g.coeffs)[0]:
             assert match[i] >= 0
