@@ -4,14 +4,14 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, CoercivityError, DegenerateMeshError,
                      GeometryError, InvalidArgumentError, NearprojError,
-                     OutOfDomainError, SolverFailureError)
+                     OutOfDomainError)
 from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec, \
     assemble_load, assemble_matrix, perturbed_form
 from .mesh import (Mesh, MeshPair, build_uniform_interval, build_uniform_square,
                    classify_pair, perturb_boundary_band, perturb_node_nearest)
 from .norms import (CrossMeshDiff, NormSpec, cross_mesh_norm, fe_norm,
                     seminorm_exact, sobolev_norm_exact_diff, support_measure)
-from .projection import SolverConfig, project
+from .projection import project
 from .quadrature import QuadratureRule, quadrature_rule
 from .space import (FeFunction, FeSpace, build_space, evaluate,
                     interpolate_nodal, intersection_project)

@@ -286,27 +286,34 @@ def parse_study_config(path):
     def parse_scalar_or_inf(text):
         return math.inf if text.lower() in ("inf", "infinity") else float(text)
 
+    def parse_floats(text):
+        return tuple(float(t) for t in text.split(","))
+
+    def function_name(text):
+        named_function(text)   # validate early
+        return text
+
+    def constant_velocity(text):
+        comps = np.array(parse_floats(text))
+        if len(comps) != dimension:
+            raise ValueError(f"expected {dimension} components, got {len(comps)}")
+        return FunctionSpec(value=lambda x: np.broadcast_to(comps, x.shape).copy(),
+                            name="constant")
+
     dimension = get("dimension", int, required=True)
     degree = get("degree", int, required=True)
     levels = get("levels", int, required=True)
     n0 = get("n0", int)
-    u_name = get("u", str, required=True)
-    named_function(u_name)   # validate early
+    u_name = get("u", function_name, required=True)
 
     kind = get("form", str, required=True)
     kappa = get("kappa", float, 1.0)
-    vel_text = get("velocity", str)
+    velocity = get("velocity", constant_velocity)
     if kind == "mass":
         form = MASS
     elif kind == "stiffness":
         form = STIFFNESS
     elif kind == "adr":
-        velocity = None
-        if vel_text:
-            comps = np.array([float(t) for t in vel_text.split(",")])
-            velocity = FunctionSpec(
-                value=lambda x, c=comps: np.broadcast_to(c, x.shape).copy(),
-                name="constant")
         form = BilinearFormSpec("adr", kappa=kappa, velocity=velocity)
     else:
         value, lineno = raw["form"]
@@ -314,9 +321,7 @@ def parse_study_config(path):
                           key="form", line=lineno)
 
     pert_kind = get("perturbation", str, required=True)
-    point = None
-    if "point" in raw:
-        point = tuple(float(t) for t in raw["point"][0].split(","))
+    point = get("point", parse_floats)
     fraction = get("fraction", float, 0.25)
     try:
         pert = PerturbationSpec(pert_kind, point=point, fraction=fraction)

@@ -21,10 +21,6 @@ class CoercivityError(NearprojError):
     """An assembled bilinear form is not positive definite."""
 
 
-class SolverFailureError(NearprojError):
-    """A linear solver failed to reach its target accuracy."""
-
-
 class GeometryError(NearprojError):
     """Geometric bookkeeping (clipping, measures) failed a consistency check."""
 

@@ -15,7 +15,7 @@ from .forms import (MASS, STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec,
 from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
                    perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
-from .projection import SolverConfig, project
+from .projection import project
 from .space import build_space
 from .theory import RateInputs, observed_orders, predicted_sigma, predicted_sigma_prime
 
@@ -49,7 +49,7 @@ def _sin_pi_2d():
 
 def power_regularity(p):
     """u(x) = x^(2-1/p) - x on [0,1]; in W^{2,q} only for q < p."""
-    if p <= 2:
+    if not p > 2:   # also rejects nan
         raise InvalidArgumentError("regularity exponent p must exceed 2")
     a = 2.0 - 1.0 / p
     return FunctionSpec(
@@ -75,7 +75,11 @@ def named_function(name):
     if name in FUNCTIONS:
         return FUNCTIONS[name]
     if name.startswith("power_p"):
-        return power_regularity(float(name[len("power_p"):]))
+        try:
+            p = float(name[len("power_p"):])
+        except ValueError:
+            raise InvalidArgumentError(f"unknown function {name!r}") from None
+        return power_regularity(p)
     raise InvalidArgumentError(f"unknown function {name!r}")
 
 
@@ -92,6 +96,8 @@ class PerturbationSpec:
             raise InvalidArgumentError(f"unknown perturbation kind {self.kind!r}")
         if self.kind == "single-node" and self.point is None:
             raise InvalidArgumentError("single-node perturbation requires a point")
+        if not math.isfinite(self.fraction):
+            raise InvalidArgumentError(f"fraction must be finite, got {self.fraction}")
 
     def apply(self, mesh):
         h = mesh.h
@@ -122,9 +128,14 @@ class StudyConfig:
     n0: int = None
     norms: tuple = (NormSpec(0, 2),)
     rate_inputs: RateInputs = None
-    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        if self.dimension not in (1, 2):
+            raise InvalidArgumentError(f"dimension must be 1 or 2, got {self.dimension}")
+        point = self.perturbation.point
+        if self.perturbation.kind == "single-node" and len(point) != self.dimension:
+            raise InvalidArgumentError(
+                f"point {point} has {len(point)} coordinates in dimension {self.dimension}")
         if self.levels < 2:
             raise InvalidArgumentError("levels must be >= 2")
         n0 = self.n0 if self.n0 is not None else (8 if self.dimension == 1 else 4)
@@ -183,8 +194,8 @@ def build_level(cfg, level):
     space_b = build_space(mesh_b, cfg.degree, dirichlet=True)
     u = named_function(cfg.u)
     form_a, form_b = _forms_for_pair(cfg.form)
-    f_a = project(space_a, form_a, u, cfg.solver)
-    f_b = project(space_b, form_b, u, cfg.solver)
+    f_a = project(space_a, form_a, u)
+    f_b = project(space_b, form_b, u)
     return pair, f_a, f_b
 
 
@@ -224,7 +235,7 @@ def run_regularity_study(p, levels, n0=8):
     """Interpolant supercloseness for u of limited regularity (grid with the
     second node shifted to 3h/2); reports L2/H1 orders against the reference
     rates 5/2 - 1/p and 3/2 - 1/p."""
-    if p <= 2:
+    if not p > 2:
         raise InvalidArgumentError("p must exceed 2")
     cfg = StudyConfig(
         dimension=1, degree=1, form=STIFFNESS,

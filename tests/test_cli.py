@@ -91,6 +91,24 @@ class TestCmdStudy:
         assert main(["study", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [
+        ("point = 0.25", "point = a,b"),
+        ("form = stiffness", "form = adr\nvelocity = x"),
+        ("form = stiffness", "form = adr\nvelocity = 0.5,0.25"),
+        ("u = sin_pi", "u = power_pxyz"),
+        ("dimension = 1", "dimension = 3"),
+        ("dimension = 1", "dimension = 2"),   # a single coordinate for a 2-D node
+        ("u = sin_pi", "u = power_pnan"),
+        ("fraction = 0.25", "fraction = nan"),
+    ], ids=["point", "velocity", "velocity-length", "u", "dimension", "point-length",
+            "u-nan", "fraction-nan"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, old, new):
+        path = write(tmp_path, TABLE2_CONFIG.replace(old, new))
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_eta4_sigma_printed(self, tmp_path, capsys):
         text = TABLE2_CONFIG + "gamma = 1\neta = 4\n"
         path = write(tmp_path, text, "eta4.cfg")
@@ -141,8 +159,8 @@ class TestCmdRegularity:
         assert "2.2500" in out and "1.2500" in out
 
     def test_p3_nine_levels(self, capsys):
-        # n = 2048 has more free DOFs than DENSE_LIMIT; the 1-D system is
-        # solved directly and the final orders approach 5/2 - 1/p, 3/2 - 1/p
+        # n = 2048 (2047 free DOFs) is the largest 1-D system of the suite;
+        # the final orders approach 5/2 - 1/p, 3/2 - 1/p
         assert main(["regularity", "--p", "3", "--levels", "9"]) == 0
         last = capsys.readouterr().out.splitlines()[10].split()
         assert last[0] == "256"
@@ -151,3 +169,4 @@ class TestCmdRegularity:
 
     def test_p2_usage_error(self, capsys):
         assert main(["regularity", "--p", "2"]) == 2
+        assert main(["regularity", "--p", "nan"]) == 2

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nearproj import (FeFunction, FunctionSpec, MASS, NormSpec, STIFFNESS,
-                      SolverConfig, SolverFailureError, assemble_load,
-                      assemble_matrix, build_space, build_uniform_interval,
-                      build_uniform_square, interpolate_nodal, project,
-                      sobolev_norm_exact_diff)
+from nearproj import (BilinearFormSpec, FeFunction, FunctionSpec, MASS, NormSpec,
+                      STIFFNESS, assemble_load, assemble_matrix, build_space,
+                      build_uniform_interval, build_uniform_square,
+                      interpolate_nodal, project, sobolev_norm_exact_diff)
 from nearproj.space import evaluate
 
 from conftest import random_fe_function
@@ -80,21 +79,15 @@ class TestProject:
         split = alpha * project(s, MASS, sin1d).coeffs + beta * project(s, MASS, v).coeffs
         assert np.abs(direct - split).max() <= 1e-11
 
-    @pytest.mark.parametrize("form", [MASS, STIFFNESS])
-    def test_direct_and_cg_agree(self, form, sin2d):
-        s = build_space(build_uniform_square(8), 1, dirichlet=True)
-        d = project(s, form, sin2d, SolverConfig(method="direct"))
-        c = project(s, form, sin2d, SolverConfig(method="cg"))
-        assert np.abs(d.coeffs - c.coeffs).max() <= 1e-10
-
-    def test_cg_failure_raises(self, sin2d):
-        s = build_space(build_uniform_square(16), 1, dirichlet=True)
-        with pytest.raises(SolverFailureError):
-            project(s, STIFFNESS, sin2d, SolverConfig(method="cg", max_iterations=2))
-
-    def test_solver_config_validation(self):
-        from nearproj import InvalidArgumentError
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(tolerance=1e-3)
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(method="bicg")
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("form", [MASS, STIFFNESS, BilinearFormSpec(
+        "adr", kappa=1.0, velocity=FunctionSpec(
+            value=lambda x: np.broadcast_to([0.5, 0.25], x.shape).copy(),
+            name="constant"))], ids=["mass", "stiffness", "adr"])
+    def test_matches_dense_solve(self, form, degree, sin2d):
+        s = build_space(build_uniform_square(8), degree, dirichlet=True)
+        A = assemble_matrix(s, form)
+        b = assemble_load(s, form, sin2d)
+        dense = np.linalg.solve(A.toarray(), b)
+        c = project(s, form, sin2d).coeffs[s.free_dofs]
+        assert np.abs(c - dense).max() <= 1e-12 * np.abs(dense).max()
