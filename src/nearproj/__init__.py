@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, CoercivityError, DegenerateMeshError,
-                     GeometryError, InvalidArgumentError, NearprojError,
-                     OutOfDomainError)
+from .errors import (ConfigError, DegenerateMeshError, GeometryError,
+                     InvalidArgumentError, NearprojError, OutOfDomainError)
 from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec, \
     assemble_load, assemble_matrix, perturbed_form
 from .mesh import (Mesh, MeshPair, build_uniform_interval, build_uniform_square,

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import ConfigError, InvalidArgumentError, NearprojError
-from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec
+from .forms import MASS, STIFFNESS, BilinearFormSpec
 from .norms import NormSpec
 from .study import (PerturbationSpec, StudyConfig, named_function,
                     run_projection_study, run_regularity_study)
 from .theory import (RateInputs, predicted_sigma, predicted_sigma_prime,
                      q_restriction_ok)
-
-import numpy as np
 
 
 @dataclass
@@ -294,11 +292,10 @@ def parse_study_config(path):
         return text
 
     def constant_velocity(text):
-        comps = np.array(parse_floats(text))
+        comps = parse_floats(text)
         if len(comps) != dimension:
             raise ValueError(f"expected {dimension} components, got {len(comps)}")
-        return FunctionSpec(value=lambda x: np.broadcast_to(comps, x.shape).copy(),
-                            name="constant")
+        return comps
 
     dimension = get("dimension", int, required=True)
     degree = get("degree", int, required=True)

@@ -17,10 +17,6 @@ class OutOfDomainError(NearprojError):
     """A point lies outside the mesh domain."""
 
 
-class CoercivityError(NearprojError):
-    """An assembled bilinear form is not positive definite."""
-
-
 class GeometryError(NearprojError):
     """Geometric bookkeeping (clipping, measures) failed a consistency check."""
 

@@ -1,22 +1,19 @@
 """Bilinear form descriptions, matrix assembly, and exact-function load vectors.
 
 Scalar callables follow the convention value(x) -> (N,) and gradient(x) -> (N, d)
-for x of shape (N, d).  Vector fields (advection velocities) return (N, d).
+for x of shape (N, d).  The advection velocity of an ADR form is a constant
+vector.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import CoercivityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .quadrature import quadrature_rule
-from .space import shape_grads, shape_values
-
-DENSE_LIMIT = 2000
+from .space import physical_grads, physical_points, shape_grads, shape_values
 
 
 @dataclass(frozen=True)
@@ -24,12 +21,14 @@ class FunctionSpec:
     """An exactly evaluable function with optional gradient and known seminorms.
 
     seminorms maps (order, integrability) -> analytic value |u|_{k,eta}.
+    dimension is the dimension of the domain it is defined on (None: any).
     """
 
     value: callable
     gradient: callable = None
     seminorms: dict = field(default_factory=dict)
     name: str = ""
+    dimension: int = None
 
     def __call__(self, x):
         return self.value(np.asarray(x, dtype=float))
@@ -44,13 +43,16 @@ class BilinearFormSpec:
 
     kind 'mass':       a(u,w) = integral(u w)                          (s = 0)
     kind 'stiffness':  a(u,w) = integral(grad u . grad w)              (s = 1)
-    kind 'adr':        stiffness - integral((v . grad u) w) + kappa*mass
+    kind 'adr':        stiffness - integral((v . grad u) w) + kappa*mass, for a
+                       constant velocity v (None: zero) and finite kappa >= 0;
+                       on a space with Dirichlet constraints its symmetric
+                       part is stiffness + kappa*mass, so it is coercive
     kind 'perturbed':  base + h^delta * perturbation
     """
 
     kind: str
     kappa: float = 1.0
-    velocity: FunctionSpec = None
+    velocity: tuple = None
     base: "BilinearFormSpec" = None
     delta: float = None
     perturbation: "BilinearFormSpec" = None
@@ -61,8 +63,13 @@ class BilinearFormSpec:
     def __post_init__(self):
         if self.kind not in ("mass", "stiffness", "adr", "perturbed"):
             raise InvalidArgumentError(f"unknown form kind {self.kind!r}")
-        if self.kind == "adr" and self.kappa < 0:
-            raise InvalidArgumentError("adr requires kappa >= 0")
+        if self.kind == "adr" and not 0 <= self.kappa < math.inf:
+            raise InvalidArgumentError(f"adr requires a finite kappa >= 0, got {self.kappa}")
+        if self.velocity is not None:
+            object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
+            if not all(map(math.isfinite, self.velocity)):
+                raise InvalidArgumentError(
+                    f"velocity components must be finite, got {self.velocity}")
         if self.kind == "perturbed":
             if self.base is None or self.perturbation is None or self.delta is None:
                 raise InvalidArgumentError(
@@ -101,34 +108,31 @@ def _element_data(space, exactness):
     rule = quadrature_rule(space.mesh.dimension, exactness)
     V = shape_values(space.mesh.dimension, space.degree, rule.points)
     G = shape_grads(space.mesh.dimension, space.degree, rule.points)
-    x = (space.mesh.element_vertices[:, None, 0, :]
-         + np.einsum("qd,mde->mqe", rule.points, np.swapaxes(space.mesh.jacobians, 1, 2)))
-    return rule, V, G, x
+    return rule, V, G
 
 
-def _local_matrices(space, form, rule, V, G, xq):
+def _velocity(space, form):
+    """The constant advection velocity of an ADR form as a (d,) array."""
+    v = np.array(form.velocity or (0.0,) * space.mesh.dimension)
+    if v.shape != (space.mesh.dimension,):
+        raise InvalidArgumentError(
+            f"velocity {form.velocity} does not match dimension {space.mesh.dimension}")
+    return v
+
+
+def _local_matrices(space, form, rule, V, G):
     mesh = space.mesh
-    det = mesh.jacobian_dets
+    det = mesh.jacobian_dets[:, None, None]
     w = rule.weights
+    mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
     if form.kind == "mass":
-        ref = np.einsum("q,qi,qj->ij", w, V, V)
-        return det[:, None, None] * ref[None, :, :]
-    if form.kind in ("stiffness", "adr"):
-        PG = np.einsum("qld,mde->mqle", G, mesh.inverse_jacobians)   # (m, nq, nloc, d)
-        loc = np.einsum("q,mqid,mqjd->mij", w, PG, PG) * det[:, None, None]
-        if form.kind == "adr":
-            vel = form.velocity
-            if vel is None:
-                vq = np.zeros(xq.shape)
-            else:
-                vq = np.asarray(vel.value(xq.reshape(-1, mesh.dimension)))
-                vq = vq.reshape(xq.shape)
-            adv = np.einsum("q,mqjd,mqd,qi->mij", w, PG, vq, V)
-            mass_ref = np.einsum("q,qi,qj->ij", w, V, V)
-            loc = loc - adv * det[:, None, None] \
-                + form.kappa * det[:, None, None] * mass_ref[None, :, :]
-        return loc
-    raise InvalidArgumentError(f"cannot assemble kind {form.kind!r}")
+        return det * mass_ref
+    PG = physical_grads(G, mesh.inverse_jacobians)       # (m, nq, nloc, d)
+    loc = np.einsum("q,mqid,mqjd->mij", w, PG, PG) * det
+    if form.kind == "adr":
+        adv = np.einsum("q,mqj,qi->mij", w, PG @ _velocity(space, form), V)
+        loc = loc - adv * det + form.kappa * det * mass_ref
+    return loc
 
 
 def _scatter(space, local):
@@ -142,20 +146,6 @@ def _scatter(space, local):
     return mat[free][:, free].tocsr()
 
 
-def _check_coercive(space, A):
-    sym = 0.5 * (A + A.T)
-    if space.n_free <= DENSE_LIMIT:
-        try:
-            scipy.linalg.cholesky(sym.toarray())
-        except scipy.linalg.LinAlgError as exc:
-            raise CoercivityError("assembled form is not coercive") from exc
-    else:
-        val = scipy.sparse.linalg.eigsh(sym, k=1, which="SA",
-                                        return_eigenvectors=False)[0]
-        if val <= 0:
-            raise CoercivityError(f"assembled form is not coercive (lambda_min={val})")
-
-
 def assemble_matrix(space, form):
     """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs."""
     if form.kind == "perturbed":
@@ -163,13 +153,10 @@ def assemble_matrix(space, form):
         if not math.isinf(form.delta):
             A = A + space.mesh.h ** form.delta * assemble_matrix(space, form.perturbation)
         return A
-    exactness = 2 * space.degree
-    rule, V, G, xq = _element_data(space, exactness)
-    local = _local_matrices(space, form, rule, V, G, xq)
-    A = _scatter(space, local)
-    if form.kind == "adr":
-        _check_coercive(space, A)
-    return A
+    if form.kind == "adr" and not space.dirichlet:
+        raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
+    rule, V, G = _element_data(space, 2 * space.degree)
+    return _scatter(space, _local_matrices(space, form, rule, V, G))
 
 
 def assemble_load(space, form, u):
@@ -183,8 +170,8 @@ def assemble_load(space, form, u):
         raise InvalidArgumentError(
             f"form kind {form.kind!r} requires a gradient for the projected function")
     mesh = space.mesh
-    exactness = 2 * space.degree + 4
-    rule, V, G, xq = _element_data(space, exactness)
+    rule, V, G = _element_data(space, 2 * space.degree + 4)
+    xq = physical_points(mesh.element_vertices, rule.points)
     det = mesh.jacobian_dets
     w = rule.weights
     flat = xq.reshape(-1, mesh.dimension)
@@ -195,11 +182,10 @@ def assemble_load(space, form, u):
         b_el += scale * np.einsum("q,mq,qi->mi", w, uq, V) * det[:, None]
     if form.kind in ("stiffness", "adr"):
         gu = np.asarray(u.gradient(flat), dtype=float).reshape(xq.shape)
-        PG = np.einsum("qld,mde->mqle", G, mesh.inverse_jacobians)
+        PG = physical_grads(G, mesh.inverse_jacobians)
         b_el += np.einsum("q,mqd,mqid->mi", w, gu, PG) * det[:, None]
-        if form.kind == "adr" and form.velocity is not None:
-            vq = np.asarray(form.velocity.value(flat)).reshape(xq.shape)
-            b_el -= np.einsum("q,mqd,mqd,qi->mi", w, vq, gu, V) * det[:, None]
+        if form.kind == "adr":
+            b_el -= np.einsum("q,mq,qi->mi", w, gu @ _velocity(space, form), V) * det[:, None]
     b = np.zeros(space.n_dofs)
     np.add.at(b, space.element_dofs.ravel(), b_el.ravel())
     return b[space.free_dofs]

@@ -129,21 +129,14 @@ def build_uniform_square(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs)               # row j = constant y
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            elements.append([v00, v10, v11])
-            elements.append([v00, v11, v01])
-    boundary = set()
-    for k in range(n + 1):
-        boundary |= {nid(k, 0), nid(k, n), nid(0, k), nid(n, k)}
-    return Mesh(2, nodes, np.array(elements), boundary)
+    nid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)     # nid[j, i] = j (n+1) + i
+    v00, v10 = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
+    v01, v11 = nid[1:, :-1].ravel(), nid[1:, 1:].ravel()
+    # the lower and the upper triangle of each square, squares row by row
+    elements = np.stack([np.column_stack([v00, v10, v11]),
+                         np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
+    boundary = np.concatenate([nid[0], nid[-1], nid[:, 0], nid[:, -1]])
+    return Mesh(2, nodes, elements, boundary)
 
 
 def _as_displacement(mesh, displacement):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GeometryError, InvalidArgumentError
 from .forms import ZERO
 from .quadrature import quadrature_rule
-from .space import eval_at_physical, eval_on_elements
+from .space import eval_at_physical, eval_on_elements, physical_points
 
 CLIP_VERTEX_TOL = 1e-12
 CONSERVATION_TOL = 1e-10
@@ -57,12 +57,6 @@ class CrossMeshDiff:
             raise InvalidArgumentError("functions do not match the meshes of the pair")
 
 
-def _physical_points(vertices, ref_pts):
-    """Images of reference points under the affine maps of simplices (K, d+1, d)."""
-    JT = vertices[:, 1:, :] - vertices[:, :1, :]
-    return vertices[:, :1, :] + np.einsum("qd,kde->kqe", ref_pts, JT)
-
-
 def sobolev_norm_exact_diff(f, u, spec):
     """W^{s,eta} norm of (f - u) for an FeFunction f and exact u."""
     space = f.space
@@ -76,7 +70,7 @@ def sobolev_norm_exact_diff(f, u, spec):
         grid = _GRID_1D if mesh.dimension == 1 else _GRID_2D
         vals, grads = eval_on_elements(space, f.coeffs, elems, grid,
                                        gradients=spec.s == 1)
-        pts = _physical_points(mesh.element_vertices[elems], grid)
+        pts = physical_points(mesh.element_vertices[elems], grid)
         pts = pts.reshape(-1, mesh.dimension)
         uvals = np.asarray(u.value(pts)).reshape(vals.shape)
         sup = np.abs(vals - uvals).max()
@@ -88,7 +82,7 @@ def sobolev_norm_exact_diff(f, u, spec):
     rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
     vals, grads = eval_on_elements(space, f.coeffs, elems, rule.points,
                                    gradients=spec.s == 1)
-    pts = _physical_points(mesh.element_vertices[elems], rule.points)
+    pts = physical_points(mesh.element_vertices[elems], rule.points)
     flat = pts.reshape(-1, mesh.dimension)
     uvals = np.asarray(u.value(flat)).reshape(vals.shape)
     det = mesh.jacobian_dets[elems]
@@ -255,7 +249,7 @@ def cross_mesh_norm(diff, spec):
         if spec.region is not None:
             keep = np.isin(ia, np.fromiter(spec.region, dtype=np.int64))
             ia, ib = ia[keep], ib[keep]
-        pts = _physical_points(mesh_a.element_vertices[ia], rule.points)
+        pts = physical_points(mesh_a.element_vertices[ia], rule.points)
         va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
         vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
         total += _squared_difference(va, ga, vb, gb, rule.weights,
@@ -266,7 +260,7 @@ def cross_mesh_norm(diff, spec):
         dia = dia[np.isin(dia, np.fromiter(spec.region, dtype=np.int64))]
     simplices, ia, ib, covered = _fragments(mesh_a, dia, mesh_b,
                                             pair.differing_elements_b())
-    pts = _physical_points(simplices, rule.points)
+    pts = physical_points(simplices, rule.points)
     va, ga = eval_at_physical(sa, f_a.coeffs, ia, pts, gradients=need_grad)
     vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
     det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))

@@ -76,41 +76,36 @@ class FeSpace:
         self.dirichlet = bool(dirichlet)
 
         nn = mesh.n_nodes
+        boundary = np.zeros(nn, dtype=bool)
+        boundary[np.fromiter(mesh.boundary_nodes, dtype=np.int64)] = True
         if degree == 1:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.nodes.copy()
-            boundary_dofs = set(mesh.boundary_nodes)
         else:
-            edge_ids = {}
-            coords = [mesh.nodes]
-            conn = np.zeros((mesh.n_elements, n_local_dofs(mesh.dimension, 2)),
-                            dtype=np.int64)
-            conn[:, :mesh.dimension + 1] = mesh.elements
-            boundary_edge_dofs = set()
-            for e, el in enumerate(mesh.elements):
-                for k, (i, j) in enumerate(_EDGES[mesh.dimension]):
-                    key = (min(el[i], el[j]), max(el[i], el[j]))
-                    if key not in edge_ids:
-                        edge_ids[key] = nn + len(edge_ids)
-                        coords.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]])[None, :])
-                        if key[0] in mesh.boundary_nodes and key[1] in mesh.boundary_nodes:
-                            # midpoint is constrained only if the edge itself lies on
-                            # the boundary; for unit-box meshes both endpoints on the
-                            # same face implies that, which a midpoint check confirms
-                            mid = 0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]])
-                            if np.min(np.concatenate([mid, 1.0 - mid])) <= 1e-12:
-                                boundary_edge_dofs.add(edge_ids[key])
-                    conn[e, mesh.dimension + 1 + k] = edge_ids[key]
-            self.element_dofs = conn
-            self.dof_coords = np.concatenate(coords, axis=0)
-            boundary_dofs = set(mesh.boundary_nodes) | boundary_edge_dofs
+            # one row per (element, local edge), element-major; np.unique
+            # numbers equal rows alike, and ranking the numbers by first row
+            # numbers the edges in the order the elements meet them
+            ends = np.sort(mesh.elements[:, _EDGES[mesh.dimension]], axis=2)
+            ends = ends.reshape(-1, 2)
+            _, first, inverse = np.unique(ends, axis=0, return_index=True,
+                                          return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(first.size)
+            edges = ends[np.sort(first)]
+            mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+            self.element_dofs = np.concatenate(
+                [mesh.elements, nn + rank[inverse.ravel()].reshape(mesh.n_elements, -1)],
+                axis=1)
+            self.dof_coords = np.concatenate([mesh.nodes, mid], axis=0)
+            # a midpoint is constrained only if the edge itself lies on the
+            # boundary; for unit-box meshes both endpoints on the boundary and
+            # the midpoint on it imply that
+            on_box = np.min(np.concatenate([mid, 1.0 - mid], axis=1), axis=1) <= 1e-12
+            boundary = np.concatenate([boundary, boundary[edges].all(axis=1) & on_box])
 
         self.n_dofs = self.dof_coords.shape[0]
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        if self.dirichlet:
-            mask[sorted(boundary_dofs)] = True
-        self.dirichlet_mask = mask
-        self.free_dofs = np.where(~mask)[0]
+        self.dirichlet_mask = boundary & self.dirichlet
+        self.free_dofs = np.flatnonzero(~self.dirichlet_mask)
         self.n_free = int(self.free_dofs.size)
         self.free_index = np.full(self.n_dofs, -1, dtype=np.int64)
         self.free_index[self.free_dofs] = np.arange(self.n_free)
@@ -179,6 +174,18 @@ def evaluate(f, x):
     return value, grad
 
 
+def physical_grads(G, Jinv):
+    """Physical gradients G J^{-1} of reference gradients G, (nq, l, d) or
+    (K, nq, l, d), on elements with inverse Jacobians Jinv (K, d, d)."""
+    return G @ Jinv[:, None]
+
+
+def physical_points(vertices, ref_pts):
+    """Images of reference points under the affine maps of simplices (K, d+1, d)."""
+    JT = vertices[:, 1:, :] - vertices[:, :1, :]
+    return vertices[:, :1, :] + np.einsum("qd,kde->kqe", ref_pts, JT)
+
+
 def eval_on_elements(space, coeffs, elem_idx, ref_pts, gradients=False):
     """Evaluate at the same reference points on a batch of elements.
 
@@ -191,8 +198,7 @@ def eval_on_elements(space, coeffs, elem_idx, ref_pts, gradients=False):
         return vals, None
     G = shape_grads(space.mesh.dimension, space.degree, ref_pts)   # (nq, n_loc, d)
     Jinv = space.mesh.inverse_jacobians[elem_idx]                  # (K, d, d)
-    phys = np.einsum("qld,kde->kqle", G, Jinv)
-    grads = np.einsum("kl,kqle->kqe", c, phys)
+    grads = np.einsum("kl,kqle->kqe", c, physical_grads(G, Jinv))
     return vals, grads
 
 
@@ -210,8 +216,7 @@ def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
         return vals, None
     G = shape_grads(space.mesh.dimension, space.degree, ref.reshape(-1, d))
     G = G.reshape(K, nq, space.n_local, d)
-    phys = np.einsum("kqld,kde->kqle", G, Jinv)
-    grads = np.einsum("kl,kqle->kqe", c, phys)
+    grads = np.einsum("kl,kqle->kqe", c, physical_grads(G, Jinv))
     return vals, grads
 
 

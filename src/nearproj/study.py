@@ -29,7 +29,7 @@ def _sin_pi():
         gradient=lambda x: pi * np.cos(pi * x[:, 0])[:, None],
         seminorms={(0, 2): 1 / SQRT2, (1, 2): pi / SQRT2, (2, 2): pi ** 2 / SQRT2,
                    (2, math.inf): pi ** 2, (3, math.inf): pi ** 3},
-        name="sin_pi")
+        name="sin_pi", dimension=1)
 
 
 def _sin_pi_2d():
@@ -44,7 +44,7 @@ def _sin_pi_2d():
         value=lambda x: np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]),
         gradient=grad,
         seminorms={(0, 2): 0.5, (2, math.inf): pi ** 2},
-        name="sin_pi_2d")
+        name="sin_pi_2d", dimension=2)
 
 
 def power_regularity(p):
@@ -56,7 +56,7 @@ def power_regularity(p):
         value=lambda x: x[:, 0] ** a - x[:, 0],
         gradient=lambda x: (a * x[:, 0] ** (a - 1.0) - 1.0)[:, None],
         seminorms={(1, math.inf): 1.0},   # sup of |a x^(a-1) - 1| is 1, at x = 0
-        name=f"power_p{p:g}")
+        name=f"power_p{p:g}", dimension=1)
 
 
 FUNCTIONS = {
@@ -66,7 +66,7 @@ FUNCTIONS = {
         value=lambda x: x[:, 0] * (1.0 - x[:, 0]),
         gradient=lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
         seminorms={(1, math.inf): 1.0, (2, 2): 2.0, (2, math.inf): 2.0},
-        name="bump_quadratic"),
+        name="bump_quadratic", dimension=1),
     "zero": ZERO,
 }
 
@@ -136,6 +136,9 @@ class StudyConfig:
         if self.perturbation.kind == "single-node" and len(point) != self.dimension:
             raise InvalidArgumentError(
                 f"point {point} has {len(point)} coordinates in dimension {self.dimension}")
+        if named_function(self.u).dimension not in (None, self.dimension):
+            raise InvalidArgumentError(
+                f"function {self.u!r} is not defined in dimension {self.dimension}")
         if self.levels < 2:
             raise InvalidArgumentError("levels must be >= 2")
         n0 = self.n0 if self.n0 is not None else (8 if self.dimension == 1 else 4)

@@ -24,11 +24,12 @@ class RateInputs:
     r: int = 2
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # written as `not x >= c` so that nan fails too
+        if not self.gamma >= 0:
             raise InvalidArgumentError("gamma must be >= 0")
-        if self.eta < 2:
+        if not self.eta >= 2:
             raise InvalidArgumentError("eta must be >= 2")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise InvalidArgumentError("delta must be >= 0 or inf")
         if self.s not in (0, 1):
             raise InvalidArgumentError("s must be 0 or 1")

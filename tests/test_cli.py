@@ -100,8 +100,14 @@ class TestCmdStudy:
         ("dimension = 1", "dimension = 2"),   # a single coordinate for a 2-D node
         ("u = sin_pi", "u = power_pnan"),
         ("fraction = 0.25", "fraction = nan"),
+        ("form = stiffness", "form = adr\nkappa = nan"),
+        ("form = stiffness", "form = adr\nkappa = inf"),
+        ("form = stiffness", "form = adr\nvelocity = nan"),
+        ("levels = 6", "levels = 6\ngamma = nan"),
+        ("u = sin_pi", "u = sin_pi_2d"),
     ], ids=["point", "velocity", "velocity-length", "u", "dimension", "point-length",
-            "u-nan", "fraction-nan"])
+            "u-nan", "fraction-nan", "kappa-nan", "kappa-inf", "velocity-nan",
+            "gamma-nan", "u-dimension"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, old, new):
         path = write(tmp_path, TABLE2_CONFIG.replace(old, new))
         assert main(["study", path]) == 2
@@ -145,6 +151,15 @@ class TestCmdPredict:
         assert main(["predict", "--gamma", "-1", "--eta", "inf", "--delta", "inf",
                      "-s", "0", "-r", "2"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gamma", "eta", "delta"])
+    def test_nan_input_usage_error(self, capsys, name):
+        argv = {"--gamma": "1", "--eta": "inf", "--delta": "inf"}
+        argv[f"--{name}"] = "nan"
+        assert main(["predict", *sum(argv.items(), ()), "-s", "0", "-r", "2"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {name}" in captured.err
+        assert captured.out == ""
 
     def test_q_restriction_violation(self, capsys):
         assert main(["predict", "--gamma", "1", "--eta", "inf", "--delta", "1",

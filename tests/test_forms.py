@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse.linalg
 
 from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS,
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
-                      fe_norm, perturbed_form)
+                      fe_norm, perturb_node_nearest, perturbed_form)
 from nearproj.space import evaluate
 
 from conftest import random_fe_function
@@ -58,14 +59,37 @@ class TestAssembleMatrix:
         assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
         scipy.linalg.cholesky(A)   # raises if not SPD
 
-    def test_advection_skew_contribution(self, mesh2d4, rng):
-        velocity = FunctionSpec(
-            value=lambda x: np.column_stack([np.ones(len(x)), 0.5 * np.ones(len(x))]),
-            name="constant")
+    def test_advection_skew_contribution(self):
+        # a constant velocity is divergence free, and the boundary term of the
+        # advection part vanishes at Dirichlet DOFs: the symmetric part of the
+        # ADR matrix is stiffness + kappa * mass, which is what makes ADR coercive
+        mesh = build_uniform_square(8)
+        mesh = perturb_node_nearest(mesh, (0.25, 0.25), (mesh.h / 4, 0.0))
+        kappa = 0.75
+        form = BilinearFormSpec("adr", kappa=kappa, velocity=(1.0, 0.5))
+        for degree in (1, 2):
+            s = build_space(mesh, degree, dirichlet=True)
+            A = assemble_matrix(s, form)
+            ref = assemble_matrix(s, STIFFNESS) + kappa * assemble_matrix(s, MASS)
+            assert abs(A - A.T).max() > 1e-3          # the advection part is present
+            gap = scipy.sparse.linalg.norm(0.5 * (A + A.T) - ref)
+            assert gap <= 1e-14 * scipy.sparse.linalg.norm(ref)
+            with pytest.raises(InvalidArgumentError):
+                assemble_matrix(build_space(mesh, degree, dirichlet=False), form)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa": -1.0}, {"kappa": float("nan")}, {"kappa": float("inf")},
+        {"velocity": (float("nan"), 0.0)}, {"velocity": (float("inf"), 0.0)}],
+        ids=["kappa-negative", "kappa-nan", "kappa-inf", "velocity-nan",
+             "velocity-inf"])
+    def test_adr_inputs_rejected(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            BilinearFormSpec("adr", **kwargs)
+
+    def test_velocity_dimension_mismatch_raises(self, mesh2d4):
         s = build_space(mesh2d4, 1, dirichlet=True)
-        A = assemble_matrix(s, BilinearFormSpec("adr", kappa=1.0, velocity=velocity))
-        sym = 0.5 * (A + A.T).toarray()
-        scipy.linalg.cholesky(sym)   # coercive for divergence-free constant velocity
+        with pytest.raises(InvalidArgumentError):
+            assemble_matrix(s, BilinearFormSpec("adr", velocity=(1.0,)))
 
 
 class TestAssembleLoad:

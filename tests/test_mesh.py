@@ -53,6 +53,20 @@ class TestUniformSquare:
         m = build_uniform_square(3)
         assert np.all(m.jacobian_dets > 0)
 
+    def test_element_order_and_boundary(self):
+        # squares row by row, lower triangle first; nodes row by row in y
+        n = 3
+        m = build_uniform_square(n)
+        elements = []
+        for j in range(n):
+            for i in range(n):
+                v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+                v01, v11 = v00 + n + 1, v10 + n + 1
+                elements += [[v00, v10, v11], [v00, v11, v01]]
+        assert np.array_equal(m.elements, elements)
+        on_box = np.any((m.nodes == 0.0) | (m.nodes == 1.0), axis=1)
+        assert m.boundary_nodes == frozenset(np.flatnonzero(on_box).tolist())
+
     def test_shape_regularity(self):
         for m in (build_uniform_square(4), build_uniform_square(16)):
             assert np.all(m.element_diameters / m.inradii() <= 10.0)

@@ -81,9 +81,7 @@ class TestProject:
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("form", [MASS, STIFFNESS, BilinearFormSpec(
-        "adr", kappa=1.0, velocity=FunctionSpec(
-            value=lambda x: np.broadcast_to([0.5, 0.25], x.shape).copy(),
-            name="constant"))], ids=["mass", "stiffness", "adr"])
+        "adr", kappa=1.0, velocity=(0.5, 0.25))], ids=["mass", "stiffness", "adr"])
     def test_matches_dense_solve(self, form, degree, sin2d):
         s = build_space(build_uniform_square(8), degree, dirichlet=True)
         A = assemble_matrix(s, form)

@@ -5,7 +5,7 @@ from nearproj import (FeFunction, FunctionSpec, InvalidArgumentError,
                       OutOfDomainError, build_space, build_uniform_interval,
                       build_uniform_square, classify_pair, evaluate,
                       interpolate_nodal, intersection_project,
-                      perturb_node_nearest)
+                      perturb_boundary_band, perturb_node_nearest)
 from nearproj.space import shape_values
 
 from conftest import random_fe_function
@@ -28,6 +28,35 @@ class TestBuildSpace:
         s = build_space(mesh2d4, 2, dirichlet=True)
         # 25 vertices + 56 edges; constrained: 16 boundary vertices + 16 boundary edges
         assert s.n_dofs == 81 and s.n_free == 49
+
+    @pytest.mark.parametrize("pert", ["none", "single", "band"])
+    def test_p2_numbering_is_first_encounter(self, pert):
+        # the edges are numbered in the order the elements meet them, which
+        # keeps P2 coefficient vectors in the order of a per-element dict
+        mesh = build_uniform_square(8)
+        if pert == "single":
+            mesh = perturb_node_nearest(mesh, (0.25, 0.25), (mesh.h / 4, 0.0))
+        elif pert == "band":
+            mesh = perturb_boundary_band(mesh, mesh.h / np.sqrt(2), (mesh.h / 4, 0.0))
+        ids, coords, conn = {}, list(mesh.nodes), []
+        mask = [k in mesh.boundary_nodes for k in range(mesh.n_nodes)]
+        for el in mesh.elements.tolist():
+            row = list(el)
+            for i, j in ((0, 1), (1, 2), (2, 0)):
+                key = (min(el[i], el[j]), max(el[i], el[j]))
+                if key not in ids:
+                    ids[key] = mesh.n_nodes + len(ids)
+                    mid = 0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]])
+                    coords.append(mid)
+                    mask.append(key[0] in mesh.boundary_nodes
+                                and key[1] in mesh.boundary_nodes
+                                and min(*mid, *(1.0 - mid)) <= 1e-12)
+                row.append(ids[key])
+            conn.append(row)
+        s = build_space(mesh, 2, dirichlet=True)
+        assert np.array_equal(s.element_dofs, conn)
+        assert np.array_equal(s.dof_coords, coords)
+        assert np.array_equal(s.dirichlet_mask, mask)
 
     def test_bad_degree(self, mesh1d8):
         with pytest.raises(InvalidArgumentError):
