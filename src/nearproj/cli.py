@@ -7,10 +7,8 @@ Exit status: 0 all golden checks pass, 1 a golden check failed, 2 usage error.
 import argparse
 import math
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from . import __version__
 from .errors import ConfigError, InvalidArgumentError, NearprojError
 from .forms import MASS, STIFFNESS, BilinearFormSpec
 from .norms import NormSpec
@@ -22,21 +20,34 @@ from .theory import (RateInputs, predicted_sigma, predicted_sigma_prime,
 
 @dataclass
 class Report:
-    metadata: dict
-    rows: list                  # merged display rows
-    columns: list               # (label, norm_spec, config_index)
-    predictions: dict
-    checks: list                # (description, passed, detail)
+    title: str
+    rows: list                  # {"level", "h_ratio", label, label + ":order"}
+    labels: list                # column labels in display order
+    predictions: dict           # label -> predicted order (None: n/a)
+    checks: tuple = ()          # (description, passed, detail)
+    notes: tuple = ()           # lines printed under the predicted orders
 
     @property
     def passed(self):
         return all(ok for _, ok, _ in self.checks)
 
 
+def _rows(columns):
+    """One display row per level of `(label, StudyResult, NormSpec)` columns."""
+    rows = []
+    for lev, first in enumerate(columns[0][1].rows):
+        row = {"level": first.level, "h_ratio": first.h_ratio}
+        for label, result, spec in columns:
+            r = result.rows[lev]
+            row[label] = r.norm_values[spec]
+            row[label + ":order"] = r.orders.get(spec)
+        rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Embedded reference tables (printed values; golden checks follow the
-# acceptance tolerances).  value_checks entries: (column, row, value, rtol).
-# order_checks entries: (column, expected?final order, abs tolerance).
+# acceptance tolerances).
 
 SINGLE_1D = PerturbationSpec("single-node", point=(0.25,), fraction=0.25)
 SINGLE_2D = PerturbationSpec("single-node", point=(0.25, 0.25), fraction=0.25)
@@ -64,9 +75,10 @@ class TableDef:
     columns: tuple                    # (label, config index, NormSpec)
     reference: dict                   # column label -> printed values (2-D:
                                       # exact norm / STORED_2D_NORM_FACTOR)
-    value_checks: tuple = ()          # (label, relative tolerance) on all rows
-    anchor_checks: tuple = ()         # (label, row index, printed value, rel tol)
-    order_checks: tuple = ()          # (label, final order, abs tolerance)
+    # checks keyed by column label
+    value_checks: dict = field(default_factory=dict)   # rel tol on all rows
+    anchor_checks: dict = field(default_factory=dict)  # (row, printed value, rel tol)
+    order_checks: dict = field(default_factory=dict)   # (final order, abs tol)
 
 
 TABLES = {
@@ -79,8 +91,8 @@ TABLES = {
                               3.1189e-06, 5.5132e-07),
                    "quadratic": (1.2843e-04, 1.0676e-05, 9.1277e-07, 7.9301e-08,
                                  6.9484e-09, 6.1146e-10)},
-        value_checks=(("affine", 0.005), ("quadratic", 0.01)),
-        order_checks=(("affine", 2.50, 0.02), ("quadratic", 3.51, 0.03))),
+        value_checks={"affine": 0.005, "quadratic": 0.01},
+        order_checks={"affine": (2.50, 0.02), "quadratic": (3.51, 0.03)}),
     2: TableDef(
         title="H1-supercloseness of elliptic projections, 1-D nearby grids (gamma=1)",
         configs=(_cfg(1, 1, STIFFNESS, SINGLE_1D, "sin_pi", 6, (H1,)),
@@ -90,8 +102,8 @@ TABLES = {
                               2.2558e-03, 7.9723e-04),
                    "quadratic": (7.4390e-03, 1.2835e-03, 2.2408e-04, 3.9364e-05,
                                  6.9369e-06, 1.2243e-06)},
-        value_checks=(("affine", 0.01), ("quadratic", 0.01)),
-        order_checks=(("affine", 1.50, 0.02), ("quadratic", 2.50, 0.02))),
+        value_checks={"affine": 0.01, "quadratic": 0.01},
+        order_checks={"affine": (1.50, 0.02), "quadratic": (2.50, 0.02)}),
     3: TableDef(
         title="L2-supercloseness of elliptic projections, 1-D nearby grids (gamma=1)",
         configs=(_cfg(1, 1, STIFFNESS, SINGLE_1D, "sin_pi", 6, (L2,)),
@@ -101,16 +113,16 @@ TABLES = {
                               3.4587e-06, 6.1186e-07),
                    "quadratic": (1.7770e-04, 1.5493e-05, 1.3576e-06, 1.1943e-07,
                                  1.0530e-08, 9.2955e-10)},
-        value_checks=(("affine", 0.01), ("quadratic", 0.01)),
-        order_checks=(("affine", 2.50, 0.02), ("quadratic", 3.50, 0.03))),
+        value_checks={"affine": 0.01, "quadratic": 0.01},
+        order_checks={"affine": (2.50, 0.02), "quadratic": (3.50, 0.03)}),
     4: TableDef(
         title="L2-supercloseness of L2-projections, 2-D single perturbed node (gamma=2)",
         configs=(_cfg(2, 1, MASS, SINGLE_2D, "sin_pi_2d", 5, (L2,)),),
         columns=(("affine", 0, L2),),
         reference={"affine": (6.3533e-03, 7.5614e-04, 8.8718e-05, 1.1020e-05,
                               1.3781e-06)},
-        anchor_checks=(("affine", 4, 1.3781e-06, 0.02),),
-        order_checks=(("affine", 3.00, 0.05),)),
+        anchor_checks={"affine": (4, 1.3781e-06, 0.02)},
+        order_checks={"affine": (3.00, 0.05)}),
     5: TableDef(
         title="H1/L2-supercloseness of elliptic projections, 2-D single perturbed "
               "node (gamma=2)",
@@ -120,7 +132,7 @@ TABLES = {
                           7.0176e-04),
                    "L2": (6.6386e-03, 7.8678e-04, 9.6370e-05, 1.2033e-05,
                           1.5106e-06)},
-        order_checks=(("H1", 2.00, 0.05), ("L2", 2.99, 0.05))),
+        order_checks={"H1": (2.00, 0.05), "L2": (2.99, 0.05)}),
     6: TableDef(
         title="Supercloseness with a perturbed boundary band, 2-D (gamma=1)",
         configs=(_cfg(2, 1, MASS, BAND_2D, "sin_pi_2d", 6, (L2,)),
@@ -133,115 +145,101 @@ TABLES = {
                                    1.7931e-02, 6.4595e-03),
                    "elliptic-L2": (1.9864e-02, 4.8794e-03, 1.0528e-03, 1.9842e-04,
                                    3.5671e-05, 6.3290e-06)},
-        order_checks=(("L2proj-L2", 2.475, 0.05), ("elliptic-H1", 1.473, 0.05),
-                      ("elliptic-L2", 2.495, 0.05))),
+        order_checks={"L2proj-L2": (2.475, 0.05), "elliptic-H1": (1.473, 0.05),
+                      "elliptic-L2": (2.495, 0.05)}),
 }
 
 
 def run_table(table_id):
     """Run the embedded configuration of one reference table."""
     if table_id not in TABLES:
-        raise InvalidArgumentError(f"unknown table id {table_id}")
+        raise InvalidArgumentError(f"table id must be one of {sorted(TABLES)}")
     definition = TABLES[table_id]
-    t0 = time.time()
     results = [run_projection_study(cfg) for cfg in definition.configs]
-    levels = definition.configs[0].levels
-
-    rows = []
-    for lev in range(levels):
-        row = {"level": lev, "h_ratio": 2 ** lev}
-        for label, ci, spec in definition.columns:
-            r = results[ci].rows[lev]
-            row[label] = r.norm_values[spec]
-            row[label + ":order"] = r.orders.get(spec)
-        rows.append(row)
+    columns = [(label, results[ci], spec) for label, ci, spec in definition.columns]
+    rows = _rows(columns)
 
     scale, note = ((STORED_2D_NORM_FACTOR,
                     " x sqrt(2) (stored 2-D values are exact norm / sqrt(2))")
                    if definition.configs[0].dimension == 2 else (1.0, ""))
     checks = []
-    for label, ci, spec in definition.columns:
+    for label, _, _ in columns:
         values = [row[label] for row in rows]
         final_order = rows[-1][label + ":order"]
-        for lbl, rtol in definition.value_checks:
-            if lbl != label:
-                continue
+        if label in definition.value_checks:
+            rtol = definition.value_checks[label]
             ref = definition.reference[label]
             worst = max(abs(v / (rv * scale) - 1.0) for v, rv in zip(values, ref))
             checks.append((f"{label}: all values within {rtol:.1%} of reference{note}",
                            worst <= rtol, f"worst relative deviation {worst:.2%}"))
-        for lbl, idx, ref_value, rtol in definition.anchor_checks:
-            if lbl != label:
-                continue
+        if label in definition.anchor_checks:
+            idx, ref_value, rtol = definition.anchor_checks[label]
             dev = abs(values[idx] / (ref_value * scale) - 1.0)
             checks.append((f"{label}: value at h0/h={2 ** idx} within {rtol:.0%} "
                            f"of {ref_value:.4e}{note}", dev <= rtol,
                            f"measured {values[idx]:.4e}, deviation {dev:.2%}"))
-        for lbl, expected, tol in definition.order_checks:
-            if lbl != label:
-                continue
+        if label in definition.order_checks:
+            expected, tol = definition.order_checks[label]
             ok = final_order is not None and abs(final_order - expected) <= tol
             checks.append((f"{label}: final order {expected} +/- {tol}", ok,
                            f"measured {final_order:.4f}"))
 
-    predictions = {}
-    for label, ci, spec in definition.columns:
-        predictions[label] = results[ci].predicted_orders[spec]
-    meta = {"table": table_id, "title": definition.title,
-            "version": __version__, "elapsed_s": round(time.time() - t0, 3),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    return Report(meta, rows, list(definition.columns), predictions, checks)
+    predictions = {label: result.predicted_orders[spec]
+                   for label, result, spec in columns}
+    return Report(definition.title, rows, [label for label, _, _ in columns],
+                  predictions, tuple(checks))
 
 
 def _format_table(report):
-    cols = report.columns
+    """Title, header, one line per level, predicted orders, notes and checks."""
     head = ["h0/h"]
-    for label, _, _ in cols:
+    for label in report.labels:
         head += [label, "order"]
-    widths = [6] + [12, 8] * len(cols)
-    lines = [report.metadata.get("title", ""),
-             "  ".join(h.rjust(w) for h, w in zip(head, widths))]
+    widths = [6] + [12, 8] * len(report.labels)
+    lines = [report.title, "  ".join(h.rjust(w) for h, w in zip(head, widths))]
     for row in report.rows:
         cells = [f"{int(row['h_ratio'])}".rjust(6)]
-        for label, _, _ in cols:
+        for label in report.labels:
             cells.append(f"{row[label]:.4e}".rjust(12))
             o = row[label + ":order"]
             cells.append(("-" if o is None else f"{o:.4f}").rjust(8))
         lines.append("  ".join(cells))
-    pred = ", ".join(f"{label}: {p:.4g}" if p is not None else f"{label}: n/a"
+    pred = ", ".join(f"{label}: " + ("n/a" if p is None else f"{p:.4f}")
                      for label, p in report.predictions.items())
     lines.append(f"predicted orders: {pred}")
+    lines += report.notes
+    if report.checks:
+        lines.append("")
+        lines += [f"[{'PASS' if ok else 'FAIL'}] {desc} ({detail})"
+                  for desc, ok, detail in report.checks]
     return "\n".join(lines)
 
 
 def _write_csv(report, path):
-    cols = report.columns
     with open(path, "w", newline="\n") as fh:
         head = ["level", "h_ratio"]
-        for label, _, _ in cols:
+        for label in report.labels:
             head += [label, label + "_order"]
         fh.write(",".join(head) + "\n")
         for row in report.rows:
             cells = [str(row["level"]), f"{row['h_ratio']:.17g}"]
-            for label, _, _ in cols:
+            for label in report.labels:
                 cells.append(f"{row[label]:.17g}")
                 o = row[label + ":order"]
                 cells.append("" if o is None else f"{o:.17g}")
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_table(args):
-    if args.id not in TABLES:
-        print(f"error: table id must be one of {sorted(TABLES)}", file=sys.stderr)
-        return 2
-    report = run_table(args.id)
+def _emit(report, args):
     if not args.quiet:
         print(_format_table(report))
-        print()
-        for desc, ok, detail in report.checks:
-            print(f"[{'PASS' if ok else 'FAIL'}] {desc} ({detail})")
     if args.csv:
         _write_csv(report, args.csv)
+
+
+def cmd_table(args):
+    report = run_table(args.id)
+    _emit(report, args)
     return 0 if report.passed else 1
 
 
@@ -281,9 +279,6 @@ def parse_study_config(path):
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}",
                               key=key, line=lineno) from exc
 
-    def parse_scalar_or_inf(text):
-        return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
     def parse_floats(text):
         return tuple(float(t) for t in text.split(","))
 
@@ -303,19 +298,24 @@ def parse_study_config(path):
     n0 = get("n0", int)
     u_name = get("u", function_name, required=True)
 
+    def override(spec, key, convert):
+        """`spec` with `key` read from the file; the spec checks the value."""
+        return get(key, lambda text: replace(spec, **{key: convert(text)}), spec)
+
     kind = get("form", str, required=True)
-    kappa = get("kappa", float, 1.0)
-    velocity = get("velocity", constant_velocity)
-    if kind == "mass":
-        form = MASS
-    elif kind == "stiffness":
-        form = STIFFNESS
-    elif kind == "adr":
-        form = BilinearFormSpec("adr", kappa=kappa, velocity=velocity)
-    else:
-        value, lineno = raw["form"]
-        raise ConfigError(f"{path}:{lineno}: unknown form {value!r}",
+    forms = {"mass": MASS, "stiffness": STIFFNESS, "adr": BilinearFormSpec("adr")}
+    if kind not in forms:
+        lineno = raw["form"][1]
+        raise ConfigError(f"{path}:{lineno}: unknown form {kind!r}",
                           key="form", line=lineno)
+    form = forms[kind]
+    for key, convert in (("kappa", float), ("velocity", constant_velocity)):
+        if kind == "adr":
+            form = override(form, key, convert)
+        elif key in raw:
+            lineno = raw[key][1]
+            raise ConfigError(f"{path}:{lineno}: {key!r} applies only to form = adr",
+                              key=key, line=lineno)
 
     pert_kind = get("perturbation", str, required=True)
     point = get("point", parse_floats)
@@ -338,57 +338,37 @@ def parse_study_config(path):
 
     norms = get("norms", parse_norms, (NormSpec(0, 2),))
 
-    rate_inputs = None
-    if "gamma" in raw or "eta" in raw or "delta" in raw:
-        rate_inputs = RateInputs(
-            gamma=get("gamma", float, pert.gamma(dimension)),
-            eta=get("eta", parse_scalar_or_inf, math.inf),
-            delta=get("delta", parse_scalar_or_inf, math.inf),
-            mu=get("mu", int, 0), nu=get("nu", int, 0),
-            s=form.s, r=degree + 1)
-
     try:
-        return StudyConfig(dimension=dimension, degree=degree, form=form,
-                           perturbation=pert, u=u_name, levels=levels, n0=n0,
-                           norms=norms, rate_inputs=rate_inputs)
+        cfg = StudyConfig(dimension=dimension, degree=degree, form=form,
+                          perturbation=pert, u=u_name, levels=levels, n0=n0,
+                          norms=norms)
     except InvalidArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # the rate inputs default to the ones StudyConfig derives
+    rates = cfg.rate_inputs
+    for key, convert in (("gamma", float), ("eta", float), ("delta", float),
+                         ("mu", int), ("nu", int)):
+        rates = override(rates, key, convert)
+    return replace(cfg, rate_inputs=rates)
 
 
 def cmd_study(args):
     try:
         cfg = parse_study_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     result = run_projection_study(cfg)
-    labels = [f"norm_{spec.s}_2" for spec in cfg.norms]
-    report = Report(
-        metadata={"config": args.config, "version": __version__},
-        rows=[{"level": r.level, "h_ratio": r.h_ratio,
-               **{lbl: r.norm_values[spec] for lbl, spec in zip(labels, cfg.norms)},
-               **{lbl + ":order": r.orders.get(spec)
-                  for lbl, spec in zip(labels, cfg.norms)}}
-              for r in result.rows],
-        columns=[(lbl, 0, spec) for lbl, spec in zip(labels, cfg.norms)],
-        predictions={lbl: result.predicted_orders[spec]
-                     for lbl, spec in zip(labels, cfg.norms)},
-        checks=[])
-    report.metadata["title"] = f"study {args.config}"
-    if not args.quiet:
-        print(_format_table(report))
-        for flag in result.flags:
-            print(f"note: {flag}")
-        if cfg.rate_inputs is not None:
-            sigma = predicted_sigma(cfg.rate_inputs)
-            print(f"predicted sigma = {sigma:.4g}")
-            if cfg.rate_inputs.s == 1:
-                print(f"predicted sigma' = {predicted_sigma_prime(cfg.rate_inputs):.4g}")
-    if args.csv:
-        _write_csv(report, args.csv)
+    columns = [(f"norm_{spec.s}_2", result, spec) for spec in cfg.norms]
+    ri = cfg.rate_inputs
+    notes = [f"note: {flag}" for flag in result.flags]
+    notes.append(f"predicted sigma = {predicted_sigma(ri):.4g}")
+    if ri.s == 1:
+        notes.append(f"predicted sigma' = {predicted_sigma_prime(ri):.4g}")
+    _emit(Report(f"study {args.config}", _rows(columns),
+                 [label for label, _, _ in columns],
+                 {label: result.predicted_orders[spec] for label, _, spec in columns},
+                 notes=tuple(notes)), args)
     return 0
 
 
@@ -415,24 +395,13 @@ def cmd_predict(args):
 
 
 def cmd_regularity(args):
-    if args.p <= 2:
-        print("error: p must exceed 2", file=sys.stderr)
-        return 2
     result, reference = run_regularity_study(args.p, args.levels)
-    specs = list(result.config.norms)
-    print(f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p:g}")
-    head = ["h0/h"] + [f"L2", "order", "H1", "order"]
-    print("  ".join(h.rjust(w) for h, w in zip(head, [6, 12, 8, 12, 8])))
-    for r in result.rows:
-        cells = [f"{int(r.h_ratio)}".rjust(6)]
-        for spec in specs:
-            cells.append(f"{r.norm_values[spec]:.4e}".rjust(12))
-            o = r.orders.get(spec)
-            cells.append(("-" if o is None else f"{o:.4f}").rjust(8))
-        print("  ".join(cells))
-    for spec in specs:
-        name = "L2" if spec.s == 0 else "H1"
-        print(f"reference asymptotic {name} order: {reference[spec]:.4f}")
+    columns = [("L2" if spec.s == 0 else "H1", result, spec)
+               for spec in result.config.norms]
+    print(_format_table(Report(
+        f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p:g}",
+        _rows(columns), [label for label, _, _ in columns],
+        {label: reference[spec] for label, _, spec in columns})))
     return 0
 
 
@@ -456,10 +425,8 @@ def build_parser():
 
     p = sub.add_parser("predict", help="closed-form superconvergence orders")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eta", type=lambda t: math.inf if t == "inf" else float(t),
-                   required=True)
-    p.add_argument("--delta", type=lambda t: math.inf if t == "inf" else float(t),
-                   required=True)
+    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mu", type=int, default=0)
     p.add_argument("--nu", type=int, default=0)
     p.add_argument("-s", type=int, required=True)

@@ -243,7 +243,7 @@ def run_regularity_study(p, levels, n0=8):
     cfg = StudyConfig(
         dimension=1, degree=1, form=STIFFNESS,
         perturbation=PerturbationSpec("shifted-second-node", fraction=0.5),
-        u=f"power_p{p:g}", levels=levels, n0=n0,
+        u=f"power_p{float(p)!r}", levels=levels, n0=n0,
         norms=(NormSpec(0, 2), NormSpec(1, 2)))
     result = run_projection_study(cfg)
     reference = {NormSpec(0, 2): REGULARITY_L2_RATE(p),

@@ -298,7 +298,7 @@ def test_predicted_order_envelope_all_tables(timed_tables):
     ok = True
     details = []
     for tid, (rep, _) in timed_tables.items():
-        for label, _, _ in rep.columns:
+        for label in rep.labels:
             predicted = rep.predictions[label]
             final = rep.rows[-1][label + ":order"]
             ok &= predicted - 0.1 <= final <= predicted + 0.15

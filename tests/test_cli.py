@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nearproj.cli import main, parse_study_config, run_table
 from nearproj.errors import ConfigError
+from nearproj.study import run_regularity_study
 
 TABLE2_CONFIG = """
 # reproduces the embedded 1-D elliptic H1 table, affine column
@@ -34,6 +37,7 @@ class TestCmdTable:
 
     def test_unknown_table_is_usage_error(self, capsys):
         assert main(["table", "99"]) == 2
+        assert "table id must be one of [1, 2, 3, 4, 5, 6]" in capsys.readouterr().err
 
     def test_quiet_suppresses_table(self, capsys):
         main(["table", "1", "--quiet"])
@@ -105,15 +109,30 @@ class TestCmdStudy:
         ("form = stiffness", "form = adr\nvelocity = nan"),
         ("levels = 6", "levels = 6\ngamma = nan"),
         ("u = sin_pi", "u = sin_pi_2d"),
+        ("form = stiffness", "form = stiffness\nkappa = nan\nvelocity = nan"),
     ], ids=["point", "velocity", "velocity-length", "u", "dimension", "point-length",
             "u-nan", "fraction-nan", "kappa-nan", "kappa-inf", "velocity-nan",
-            "gamma-nan", "u-dimension"])
+            "gamma-nan", "u-dimension", "adr-keys-without-adr"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, old, new):
         path = write(tmp_path, TABLE2_CONFIG.replace(old, new))
         assert main(["study", path]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("key", ["kappa", "velocity"])
+    def test_adr_key_needs_adr_form(self, tmp_path, key):
+        path = write(tmp_path, TABLE2_CONFIG + f"{key} = 1\n")
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == (key, 13)
+        assert str(err.value) == f"{path}:13: {key!r} applies only to form = adr"
+
+    def test_bad_rate_input_names_file_line_and_key(self, tmp_path, capsys):
+        path = write(tmp_path, TABLE2_CONFIG + "gamma = 1\neta = 1\n")
+        assert main(["study", path]) == 2
+        err = capsys.readouterr().err
+        assert "study.cfg:14:" in err and "'eta'" in err
 
     def test_eta4_sigma_printed(self, tmp_path, capsys):
         text = TABLE2_CONFIG + "gamma = 1\neta = 4\n"
@@ -185,3 +204,74 @@ class TestCmdRegularity:
     def test_p2_usage_error(self, capsys):
         assert main(["regularity", "--p", "2"]) == 2
         assert main(["regularity", "--p", "nan"]) == 2
+
+    def test_p_just_above_2(self, capsys):
+        assert main(["regularity", "--p", "2.0000001", "--levels", "2"]) == 0
+
+    def test_p_not_rounded(self):
+        result, _ = run_regularity_study(2.5000004, 2)
+        assert result.config.u == "power_p2.5000004"
+
+
+# valid and malformed values for each config key; n0 and levels stay small
+CONFIG_VALUES = {
+    "dimension": ["1", "2", "3", "0", "one"],
+    "degree": ["1", "2", "0", "3", "1.5"],
+    "form": ["mass", "stiffness", "adr", "elastic", ""],
+    "kappa": ["0", "1", "nan", "inf", "-1", "1e400"],
+    "velocity": ["0.5", "0.5,0.25", "nan,0", "", "a,b"],
+    "perturbation": ["single-node", "boundary-band", "shifted-second-node", "none"],
+    "point": ["0.25", "0.25,0.25", "0.5,0.5,0.5", "nan", "2", "-1,0", ","],
+    "fraction": ["0.25", "0", "0.5", "1", "-0.25", "nan", "inf"],
+    "u": ["sin_pi", "sin_pi_2d", "bump_quadratic", "zero", "power_p3",
+          "power_p2", "power_pnan", "power_pinf", "cos"],
+    "n0": ["2", "3", "4", "0", "-2", "four"],
+    "levels": ["2", "3", "1", "0", "-1", "x"],
+    "norms": ["0:2", "1:2", "0:2,1:2", "2:2", "0:3", ""],
+    "gamma": ["1", "2", "0", "-1", "nan", "inf"],
+    "eta": ["2", "4", "inf", "1", "nan", "-inf"],
+    "delta": ["0", "1", "inf", "-1", "nan"],
+    "mu": ["0", "1", "2", "-1", "x"],
+    "nu": ["0", "1", "2", "0.5"],
+}
+# None deletes the key
+MUTATIONS = [(key, value) for key, values in CONFIG_VALUES.items()
+             for value in values + [None]]
+JUNK_LINES = ["# comment", "", "= 3", "levels", "wibble = 1", "u = = sin_pi"]
+
+
+@st.composite
+def config_texts(draw):
+    """A consistent config with up to two keys changed or deleted and up to
+    two junk lines."""
+    pick = lambda values: draw(st.sampled_from(values))
+    dim = pick(["1", "2"])
+    cfg = {"dimension": dim, "degree": pick(["1", "2"]),
+           "form": pick(["mass", "stiffness", "adr"]),
+           "perturbation": pick(["single-node", "boundary-band", "shifted-second-node"]),
+           "point": "0.25" if dim == "1" else "0.25,0.25",
+           "fraction": pick(["0.25", "0.5"]),
+           "u": pick(["sin_pi", "bump_quadratic", "power_p3", "zero"] if dim == "1"
+                     else ["sin_pi_2d", "zero"]),
+           "n0": pick(["2", "3", "4"]), "levels": pick(["2", "3"]),
+           "norms": pick(["0:2", "1:2", "0:2,1:2"])}
+    if cfg["form"] == "adr":
+        cfg.update(kappa="1", velocity="0.5" if dim == "1" else "0.5,0.25")
+    if draw(st.booleans()):
+        cfg.update(gamma=pick(["1", "2"]), eta=pick(["2", "4", "inf"]),
+                   delta=pick(["0", "1", "inf"]))
+    for key, value in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        cfg[key] = value
+    lines = [f"{key} = {value}" for key, value in cfg.items() if value is not None]
+    lines += draw(st.lists(st.sampled_from(JUNK_LINES), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_texts())
+def test_random_config_exits_0_or_2(tmp_path, capsys, text):
+    code = main(["study", write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code in (0, 2), text
+    assert "Traceback" not in captured.out + captured.err, text
