@@ -292,7 +292,12 @@ def parse_study_config(path):
             raise ValueError(f"expected {dimension} components, got {len(comps)}")
         return comps
 
-    dimension = get("dimension", int, required=True)
+    def dimension_of(text):
+        if int(text) not in (1, 2):
+            raise ValueError("dimension must be 1 or 2")
+        return int(text)
+
+    dimension = get("dimension", dimension_of, required=True)
     degree = get("degree", int, required=True)
     levels = get("levels", int, required=True)
     n0 = get("n0", int)
@@ -318,10 +323,15 @@ def parse_study_config(path):
                               key=key, line=lineno)
 
     pert_kind = get("perturbation", str, required=True)
+    if pert_kind != "single-node" and "point" in raw:
+        lineno = raw["point"][1]
+        raise ConfigError(f"{path}:{lineno}: 'point' applies only to "
+                          f"perturbation = single-node", key="point", line=lineno)
     point = get("point", parse_floats)
     fraction = get("fraction", float, 0.25)
     try:
         pert = PerturbationSpec(pert_kind, point=point, fraction=fraction)
+        pert.check_dimension(dimension)
     except InvalidArgumentError as exc:
         lineno = raw["perturbation"][1]
         raise ConfigError(f"{path}:{lineno}: {exc}", key="perturbation",
@@ -399,7 +409,7 @@ def cmd_regularity(args):
     columns = [("L2" if spec.s == 0 else "H1", result, spec)
                for spec in result.config.norms]
     print(_format_table(Report(
-        f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p:g}",
+        f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p!r}",
         _rows(columns), [label for label, _, _ in columns],
         {label: reference[spec] for label, _, spec in columns})))
     return 0

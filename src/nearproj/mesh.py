@@ -1,11 +1,14 @@
 """Simplicial meshes of [0,1]^d (d = 1, 2), node perturbations, mesh pairing.
 
 Meshes are immutable after construction: the coordinate and connectivity
-arrays are write-protected, and every operation returns a new mesh.
+arrays are write-protected, and every operation returns a new mesh.  A mesh
+pair overlays its differing region once, on first use: interval
+intersections in 1-D, fan triangles of clipped polygons in 2-D.
 """
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +17,11 @@ from .errors import DegenerateMeshError, GeometryError, InvalidArgumentError
 COORD_TOL = 1e-14          # per-coordinate tolerance for "identical point"
 MEASURE_TOL = 1e-12
 KEY_SCALE = 1e9            # points are keyed by their coordinates rounded to 1e-9
+BOX_TOL = 1e-13            # bounding boxes this close count as overlapping
+CLIP_VERTEX_TOL = 1e-12
+# Clipping a convex polygon by a half-plane adds at most one vertex, so a
+# triangle clipped by the three edges of another has at most six.
+MAX_CLIP_VERTICES = 6
 
 
 class Mesh:
@@ -207,6 +215,15 @@ class MeshPair:
     def differing_elements_b(self):
         return np.where(~self.shared_mask_b)[0]
 
+    @cached_property
+    def fragments(self):
+        """Overlay of the differing region, built once per pair: see _fragments."""
+        out = _fragments(self.mesh_a, self.differing_elements_a(),
+                         self.mesh_b, self.differing_elements_b())
+        for arr in out[:3]:
+            arr.setflags(write=False)
+        return out
+
 
 def match_points(x, y):
     """Index of the row of y at the same point as each row of x, or -1.
@@ -271,3 +288,129 @@ def classify_pair(a, b, gamma_nominal):
     mask_b.setflags(write=False)
     return MeshPair(a, b, frozenset(shared), diff_a, float(gamma_nominal),
                     mask_a, mask_b)
+
+
+# -- the overlay of the differing region --------------------------------------
+
+def _overlap_pairs(mesh_a, ia, mesh_b, ib):
+    """Pairs (row of ia, row of ib) of elements whose bounding boxes overlap,
+    in lexicographic order.
+
+    Sort and sweep on x: the boxes of ib are sorted by their lower x bound.
+    Box i of ia is tested, in every coordinate, against the window of them
+    whose lower x bound lies in [lo_a - widest box - 2 BOX_TOL, hi_a + BOX_TOL].
+    """
+    va = mesh_a.element_vertices[ia]
+    vb = mesh_b.element_vertices[ib]
+    lo_a, hi_a = va.min(axis=1).T, va.max(axis=1).T + BOX_TOL
+    lo_b, hi_b = vb.min(axis=1).T, vb.max(axis=1).T + BOX_TOL
+    order = np.argsort(lo_b[0], kind="stable")
+    width = (hi_b[0] - lo_b[0]).max(initial=0.0)
+    start = np.searchsorted(lo_b[0, order], lo_a[0] - width - BOX_TOL)
+    count = np.searchsorted(lo_b[0, order], hi_a[0], side="right") - start
+    i = np.repeat(np.arange(len(ia)), count)
+    j = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
+    for d in reversed(range(len(lo_a))):
+        ok = (lo_a[d, i] <= hi_b[d, j]) & (lo_b[d, j] <= hi_a[d, i])
+        i, j = i[ok], j[ok]
+    k = np.lexsort((j, i))
+    return np.column_stack([i[k], j[k]])
+
+
+def _clip_triangles(subject, clipper):
+    """Sutherland-Hodgman clip of each ccw triangle subject[k] by the ccw
+    triangle clipper[k], all pairs at once.
+
+    Returns the polygons as coordinates (2, pairs, MAX_CLIP_VERTICES), padded
+    with zeros, and their vertex counts.  Each vertex is computed with the
+    operations of the scalar algorithm, in its order, so no result depends on
+    the rest of the batch.
+    """
+    m, width = len(subject), MAX_CLIP_VERTICES
+    rows, slots = np.arange(m), np.arange(width)
+    poly = np.zeros((2, m, width))
+    poly[:, :, :3] = subject.transpose(2, 0, 1)
+    count = np.full(m, 3)
+    corners = clipper.transpose(1, 2, 0)[..., None]        # (3, 2, pairs, 1)
+    for k in range(3):
+        (ax, ay), (bx, by) = corners[k], corners[(k + 1) % 3]
+        ex, ey = bx - ax, by - ay
+        x, y = poly
+        inside = ex * (y - ay) - ey * (x - ax) >= -CLIP_VERTEX_TOL
+        # s: the vertex before each slot, cyclically
+        s = np.concatenate([poly[:, rows, count - 1, None], poly[:, :, :-1]], axis=2)
+        s_in = np.column_stack([inside[rows, count - 1], inside[:, :-1]])
+        valid = slots < count[:, None]
+        cross, keep = valid & (inside != s_in), valid & inside
+        # each vertex emits the crossing of the edge that ends at it, then itself
+        emit = np.stack([cross, keep], axis=2)
+        count = emit.sum(axis=(1, 2))
+        if count.max(initial=0) > width:
+            raise GeometryError(f"a clipped triangle has {count.max()} vertices, "
+                                f"more than the bound of {width}")
+        dest = np.cumsum(emit.reshape(m, 2 * width), axis=1).reshape(emit.shape) - 1 \
+            + width * rows[:, None, None]
+        r = np.nonzero(cross)[0]
+        (sx, sy), (px, py) = s[:, cross], poly[:, cross]
+        ax, ay, ex, ey = ax[r, 0], ay[r, 0], ex[r, 0], ey[r, 0]
+        dx, dy = px - sx, py - sy
+        t = (ex * (ay - sy) - ey * (ax - sx)) / (ex * dy - ey * dx)
+        out = np.zeros((2, m * width))
+        out[:, dest[..., 0][cross]] = sx + t * dx, sy + t * dy
+        out[:, dest[..., 1][keep]] = poly[:, keep]
+        poly = out.reshape(2, m, width)
+    return poly, count
+
+
+def _dedupe(poly, count):
+    """Drop each vertex within CLIP_VERTEX_TOL of the last one kept, then a
+    last vertex within CLIP_VERTEX_TOL of the first."""
+    out, last = np.zeros_like(poly), poly[:, :, 0]
+    n = np.zeros(len(count), dtype=np.int64)
+    for j in range(poly.shape[2]):
+        p = poly[:, :, j]
+        new = (j < count) & ((n == 0) | np.any(np.abs(p - last) > CLIP_VERTEX_TOL, axis=0))
+        out[:, new, n[new]] = p[:, new]
+        last = np.where(new, p, last)
+        n += new
+    n -= (n > 1) & np.all(np.abs(out[:, :, 0] - last) <= CLIP_VERTEX_TOL, axis=0)
+    return out, n
+
+
+def _polygon_areas(poly, n):
+    """Signed shoelace areas, summed vertex by vertex."""
+    rows, (x, y) = np.arange(len(n)), poly
+    total = np.zeros(len(n))
+    for i in range(poly.shape[2]):
+        nxt = np.where(i + 1 < n, i + 1, 0)
+        term = x[:, i] * y[rows, nxt] - x[rows, nxt] * y[:, i]
+        total = np.where(i < n, total + term, total)
+    return 0.5 * total
+
+
+def _fragments(mesh_a, dia, mesh_b, dib):
+    """Overlay of elements dia of mesh_a with elements dib of mesh_b.
+
+    Returns the fragments as simplices (F, d+1, d), the parent element of each
+    in mesh_a and in mesh_b, and the measure they cover, summed in pair order.
+    Overlaps of measure at most CLIP_VERTEX_TOL are dropped.
+    """
+    pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
+    ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
+    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    if mesh_a.dimension == 1:
+        lo = np.maximum(va.min(axis=1), vb.min(axis=1))
+        hi = np.minimum(va.max(axis=1), vb.max(axis=1))
+        keep = (hi - lo)[:, 0] > CLIP_VERTEX_TOL
+        return (np.stack([lo, hi], axis=1)[keep], ia[keep], ib[keep],
+                float((hi - lo)[keep].sum()))
+    poly, n = _dedupe(*_clip_triangles(va, vb))
+    area = _polygon_areas(poly, n)
+    keep = (n >= 3) & ~(area <= CLIP_VERTEX_TOL)
+    poly, n = poly[:, keep].transpose(1, 2, 0), n[keep]
+    # fan triangles (0, k, k + 1), k = 1 .. n - 2, in pair order
+    fan = np.arange(1, poly.shape[1] - 1) < n[:, None] - 1
+    tris = np.stack([np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape),
+                     poly[:, 1:-1], poly[:, 2:]], axis=2)
+    return (tris[fan], np.repeat(ia[keep], n - 2), np.repeat(ib[keep], n - 2),
+            float(np.cumsum(np.append(0.0, area[keep]))[-1]))

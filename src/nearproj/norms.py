@@ -7,9 +7,8 @@ is a sampled supremum over fixed per-element grids (25 points per interval,
 
 Differences of FE functions on a mesh pair are integrated exactly: shared
 elements carry a single polynomial difference; the differing region is
-overlaid by simplices that each lie in one element of either mesh (interval
-intersections in 1-D, fan triangles of clipped polygons in 2-D), and the
-difference is integrated on all of them at once.
+overlaid by simplices that each lie in one element of either mesh (the
+pair's `fragments`), and the difference is integrated on all of them at once.
 """
 
 import math
@@ -22,7 +21,6 @@ from .forms import ZERO
 from .quadrature import quadrature_rule
 from .space import eval_at_physical, eval_on_elements, physical_points
 
-CLIP_VERTEX_TOL = 1e-12
 CONSERVATION_TOL = 1e-10
 
 _GRID_1D = np.linspace(0.0, 1.0, 25)[:, None]
@@ -127,101 +125,6 @@ def fe_component_norms(f, k, eta):
     return out
 
 
-# -- convex clipping ---------------------------------------------------------
-
-def _clip_convex(subject, clipper):
-    """Sutherland-Hodgman: clip ccw convex polygon `subject` by ccw `clipper`."""
-    out = subject
-    m = len(clipper)
-    for k in range(m):
-        ax, ay = clipper[k]
-        bx, by = clipper[(k + 1) % m]
-        ex, ey = bx - ax, by - ay
-        inp = out
-        out = []
-        if not inp:
-            return []
-        sx, sy = inp[-1]
-        s_in = ex * (sy - ay) - ey * (sx - ax) >= -CLIP_VERTEX_TOL
-        for px, py in inp:
-            p_in = ex * (py - ay) - ey * (px - ax) >= -CLIP_VERTEX_TOL
-            if p_in != s_in:
-                dx, dy = px - sx, py - sy
-                t = (ex * (ay - sy) - ey * (ax - sx)) / (ex * dy - ey * dx)
-                out.append((sx + t * dx, sy + t * dy))
-            if p_in:
-                out.append((px, py))
-            sx, sy, s_in = px, py, p_in
-    return out
-
-
-def _dedupe_polygon(poly):
-    out = []
-    for p in poly:
-        if not out or (abs(p[0] - out[-1][0]) > CLIP_VERTEX_TOL
-                       or abs(p[1] - out[-1][1]) > CLIP_VERTEX_TOL):
-            out.append(p)
-    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= CLIP_VERTEX_TOL \
-            and abs(out[0][1] - out[-1][1]) <= CLIP_VERTEX_TOL:
-        out.pop()
-    return out
-
-
-def _polygon_area(poly):
-    s = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
-
-
-def _overlap_pairs(mesh_a, ia, mesh_b, ib):
-    """Candidate element pairs with overlapping bounding boxes."""
-    va = mesh_a.element_vertices[ia]
-    vb = mesh_b.element_vertices[ib]
-    lo_a, hi_a = va.min(axis=1), va.max(axis=1)
-    lo_b, hi_b = vb.min(axis=1), vb.max(axis=1)
-    tol = 1e-13
-    ok = np.all((lo_a[:, None, :] <= hi_b[None, :, :] + tol)
-                & (lo_b[None, :, :] <= hi_a[:, None, :] + tol), axis=2)
-    return np.argwhere(ok)
-
-
-def _fragments(mesh_a, dia, mesh_b, dib):
-    """Overlay of elements dia of mesh_a with elements dib of mesh_b.
-
-    Returns the fragments as simplices (F, d+1, d), the parent element of each
-    in mesh_a and in mesh_b, and the measure they cover.  Overlaps of measure
-    at most CLIP_VERTEX_TOL are dropped.
-    """
-    pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
-    ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
-    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
-    if mesh_a.dimension == 1:
-        lo = np.maximum(va.min(axis=1), vb.min(axis=1))
-        hi = np.minimum(va.max(axis=1), vb.max(axis=1))
-        keep = (hi - lo)[:, 0] > CLIP_VERTEX_TOL
-        return (np.stack([lo, hi], axis=1)[keep], ia[keep], ib[keep],
-                float((hi - lo)[keep].sum()))
-    simplices, parent_a, parent_b = [], [], []
-    covered = 0.0
-    for i, j, tri_a, tri_b in zip(ia, ib, va.tolist(), vb.tolist()):
-        poly = _dedupe_polygon(_clip_convex(tri_a, tri_b))
-        if len(poly) < 3:
-            continue
-        area = _polygon_area(poly)
-        if area <= CLIP_VERTEX_TOL:
-            continue
-        covered += area
-        simplices += [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
-        parent_a += [i] * (len(poly) - 2)
-        parent_b += [j] * (len(poly) - 2)
-    return (np.array(simplices).reshape(-1, 3, 2), np.array(parent_a, dtype=np.int64),
-            np.array(parent_b, dtype=np.int64), covered)
-
-
 def _squared_difference(va, ga, vb, gb, weights, det):
     """Quadrature of (va - vb)^2, plus |ga - gb|^2 when gradients are given."""
     total = np.einsum("kq,q,k->", (va - vb) ** 2, weights, det)
@@ -236,18 +139,19 @@ def cross_mesh_norm(diff, spec):
         raise InvalidArgumentError("cross-mesh norms are measured with eta = 2")
     f_a, f_b, pair = diff.f_a, diff.f_b, diff.pair
     sa, sb = f_a.space, f_b.space
-    mesh_a, mesh_b = pair.mesh_a, pair.mesh_b
+    mesh_a = pair.mesh_a
     degree = sa.degree
     need_grad = spec.s == 1
     rule = quadrature_rule(mesh_a.dimension, 2 * degree)
 
+    region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
     total = 0.0
     shared = sorted(pair.shared_elements)
     if shared:
         ia = np.array([p[0] for p in shared], dtype=np.int64)
         ib = np.array([p[1] for p in shared], dtype=np.int64)
-        if spec.region is not None:
-            keep = np.isin(ia, np.fromiter(spec.region, dtype=np.int64))
+        if region is not None:
+            keep = np.isin(ia, region)
             ia, ib = ia[keep], ib[keep]
         pts = physical_points(mesh_a.element_vertices[ia], rule.points)
         va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
@@ -255,11 +159,10 @@ def cross_mesh_norm(diff, spec):
         total += _squared_difference(va, ga, vb, gb, rule.weights,
                                      mesh_a.jacobian_dets[ia])
 
-    dia = pair.differing_elements_a()
-    if spec.region is not None:
-        dia = dia[np.isin(dia, np.fromiter(spec.region, dtype=np.int64))]
-    simplices, ia, ib, covered = _fragments(mesh_a, dia, mesh_b,
-                                            pair.differing_elements_b())
+    simplices, ia, ib, covered = pair.fragments
+    if region is not None:
+        keep = np.isin(ia, region)
+        simplices, ia, ib = simplices[keep], ia[keep], ib[keep]
     pts = physical_points(simplices, rule.points)
     va, ga = eval_at_physical(sa, f_a.coeffs, ia, pts, gradients=need_grad)
     vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)

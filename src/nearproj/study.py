@@ -112,9 +112,17 @@ class PerturbationSpec:
         return perturb_node_nearest(mesh, (h,), (self.fraction * h,))
 
     def gamma(self, dimension):
-        if self.kind == "boundary-band":
-            return 1.0
         return float(dimension) if self.kind == "single-node" else 1.0
+
+    def check_dimension(self, dimension):
+        """Reject a kind or a point that does not fit a mesh of `dimension`."""
+        only = {"boundary-band": 2, "shifted-second-node": 1}.get(self.kind, dimension)
+        if dimension != only:
+            raise InvalidArgumentError(f"perturbation {self.kind!r} is defined only "
+                                       f"in dimension {only}")
+        if self.kind == "single-node" and len(self.point) != dimension:
+            raise InvalidArgumentError(f"point {self.point} has {len(self.point)} "
+                                       f"coordinates in dimension {dimension}")
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise InvalidArgumentError(f"dimension must be 1 or 2, got {self.dimension}")
-        point = self.perturbation.point
-        if self.perturbation.kind == "single-node" and len(point) != self.dimension:
-            raise InvalidArgumentError(
-                f"point {point} has {len(point)} coordinates in dimension {self.dimension}")
+        self.perturbation.check_dimension(self.dimension)
         if named_function(self.u).dimension not in (None, self.dimension):
             raise InvalidArgumentError(
                 f"function {self.u!r} is not defined in dimension {self.dimension}")

@@ -110,9 +110,15 @@ class TestCmdStudy:
         ("levels = 6", "levels = 6\ngamma = nan"),
         ("u = sin_pi", "u = sin_pi_2d"),
         ("form = stiffness", "form = stiffness\nkappa = nan\nvelocity = nan"),
+        ("single-node", "shifted-second-node"),
+        ("single-node\npoint = 0.25", "boundary-band"),
+        ("dimension = 1\ndegree = 1\nform = stiffness\nperturbation = single-node\n"
+         "point = 0.25", "dimension = 2\ndegree = 1\nform = stiffness\n"
+         "perturbation = shifted-second-node"),
     ], ids=["point", "velocity", "velocity-length", "u", "dimension", "point-length",
             "u-nan", "fraction-nan", "kappa-nan", "kappa-inf", "velocity-nan",
-            "gamma-nan", "u-dimension", "adr-keys-without-adr"])
+            "gamma-nan", "u-dimension", "adr-keys-without-adr",
+            "point-without-single-node", "band-in-1d", "shifted-node-in-2d"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, old, new):
         path = write(tmp_path, TABLE2_CONFIG.replace(old, new))
         assert main(["study", path]) == 2
@@ -127,6 +133,26 @@ class TestCmdStudy:
             parse_study_config(path)
         assert (err.value.key, err.value.line) == (key, 13)
         assert str(err.value) == f"{path}:13: {key!r} applies only to form = adr"
+
+    def test_point_needs_single_node(self, tmp_path):
+        path = write(tmp_path, TABLE2_CONFIG.replace("single-node", "shifted-second-node"))
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == ("point", 7)
+        assert str(err.value) == f"{path}:7: 'point' applies only to perturbation = single-node"
+
+    @pytest.mark.parametrize("dimension,kind", [(1, "boundary-band"),
+                                                (2, "shifted-second-node")])
+    def test_perturbation_needs_its_dimension(self, tmp_path, capsys, dimension, kind):
+        text = TABLE2_CONFIG.replace("dimension = 1", f"dimension = {dimension}")
+        path = write(tmp_path, text.replace("single-node\npoint = 0.25", kind))
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == ("perturbation", 6)
+        assert str(err.value) == (f"{path}:6: perturbation {kind!r} is defined only in "
+                                  f"dimension {3 - dimension}")
+        assert main(["study", path]) == 2
+        assert f"study.cfg:6: perturbation {kind!r}" in capsys.readouterr().err
 
     def test_bad_rate_input_names_file_line_and_key(self, tmp_path, capsys):
         path = write(tmp_path, TABLE2_CONFIG + "gamma = 1\neta = 1\n")
@@ -208,9 +234,11 @@ class TestCmdRegularity:
     def test_p_just_above_2(self, capsys):
         assert main(["regularity", "--p", "2.0000001", "--levels", "2"]) == 0
 
-    def test_p_not_rounded(self):
+    def test_p_not_rounded(self, capsys):
         result, _ = run_regularity_study(2.5000004, 2)
         assert result.config.u == "power_p2.5000004"
+        assert main(["regularity", "--p", "2.5000004", "--levels", "2"]) == 0
+        assert "x^(2-1/p) - x, p = 2.5000004\n" in capsys.readouterr().out
 
 
 # valid and malformed values for each config key; n0 and levels stay small
@@ -246,10 +274,12 @@ def config_texts(draw):
     two junk lines."""
     pick = lambda values: draw(st.sampled_from(values))
     dim = pick(["1", "2"])
+    kind = pick(["single-node", "shifted-second-node" if dim == "1" else "boundary-band"])
     cfg = {"dimension": dim, "degree": pick(["1", "2"]),
            "form": pick(["mass", "stiffness", "adr"]),
-           "perturbation": pick(["single-node", "boundary-band", "shifted-second-node"]),
-           "point": "0.25" if dim == "1" else "0.25,0.25",
+           "perturbation": kind,
+           "point": ("0.25" if dim == "1" else "0.25,0.25") if kind == "single-node"
+           else None,
            "fraction": pick(["0.25", "0.5"]),
            "u": pick(["sin_pi", "bump_quadratic", "power_p3", "zero"] if dim == "1"
                      else ["sin_pi_2d", "zero"]),

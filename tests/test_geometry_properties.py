@@ -13,7 +13,7 @@ from nearproj import (CrossMeshDiff, FunctionSpec, NormSpec, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, interpolate_nodal, perturb_boundary_band,
                       perturb_node_nearest)
-from nearproj.norms import _clip_convex, _dedupe_polygon, _polygon_area
+from nearproj.mesh import _clip_triangles, _dedupe, _polygon_areas
 
 L2, H1 = NormSpec(0, 2), NormSpec(1, 2)
 
@@ -83,7 +83,13 @@ def _triangle(points):
     area2 = u[0] * v[1] - u[1] * v[0]
     if area2 < 0:
         a = a[::-1]
-    return [tuple(p) for p in a], abs(area2) / 2
+    return a, abs(area2) / 2
+
+
+def _clipped_areas(subject, clipper):
+    """Areas of subject[k] clipped by clipper[k] (0 for fewer than 3 vertices)."""
+    poly, n = _dedupe(*_clip_triangles(np.array(subject), np.array(clipper)))
+    return np.where(n >= 3, _polygon_areas(poly, n), 0.0)
 
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False, width=32)
@@ -95,10 +101,7 @@ def test_clip_area_properties(pa, pb):
     ta, area_a = _triangle(pa)
     tb, area_b = _triangle(pb)
     assume(area_a > 1e-3 and area_b > 1e-3)
-    ab = _dedupe_polygon(_clip_convex(ta, tb))
-    ba = _dedupe_polygon(_clip_convex(tb, ta))
-    area_ab = _polygon_area(ab) if len(ab) >= 3 else 0.0
-    area_ba = _polygon_area(ba) if len(ba) >= 3 else 0.0
+    area_ab, area_ba = _clipped_areas([ta, tb], [tb, ta])
     assert area_ab >= -1e-12
     assert area_ab <= min(area_a, area_b) + 1e-9
     assert area_ab == pytest.approx(area_ba, abs=1e-9)
@@ -106,8 +109,7 @@ def test_clip_area_properties(pa, pb):
 
 def test_clip_identical_triangles():
     t, area = _triangle([(0, 0), (1, 0), (0, 1)])
-    poly = _dedupe_polygon(_clip_convex(t, t))
-    assert _polygon_area(poly) == pytest.approx(area, abs=1e-14)
+    assert _clipped_areas([t], [t])[0] == pytest.approx(area, abs=1e-14)
 
 
 class TestImmutability:
