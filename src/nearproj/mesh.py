@@ -305,9 +305,11 @@ def _overlap_pairs(mesh_a, ia, mesh_b, ib):
     lo_a, hi_a = va.min(axis=1).T, va.max(axis=1).T + BOX_TOL
     lo_b, hi_b = vb.min(axis=1).T, vb.max(axis=1).T + BOX_TOL
     order = np.argsort(lo_b[0], kind="stable")
+    sorted_lo = lo_b[0, order]
     width = (hi_b[0] - lo_b[0]).max(initial=0.0)
-    start = np.searchsorted(lo_b[0, order], lo_a[0] - width - BOX_TOL)
-    count = np.searchsorted(lo_b[0, order], hi_a[0], side="right") - start
+    start = np.searchsorted(sorted_lo, lo_a[0] - width - BOX_TOL)
+    count = np.searchsorted(sorted_lo, hi_a[0], side="right") - start
+    # the k-th box in the window of box i is order[start[i] + k]
     i = np.repeat(np.arange(len(ia)), count)
     j = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
     for d in reversed(range(len(lo_a))):
@@ -379,8 +381,8 @@ def _dedupe(poly, count):
 
 def _polygon_areas(poly, n):
     """Signed shoelace areas, summed vertex by vertex."""
-    rows, (x, y) = np.arange(len(n)), poly
-    total = np.zeros(len(n))
+    x, y = poly
+    rows, total = np.arange(len(n)), np.zeros(len(n))
     for i in range(poly.shape[2]):
         nxt = np.where(i + 1 < n, i + 1, 0)
         term = x[:, i] * y[rows, nxt] - x[rows, nxt] * y[:, i]
