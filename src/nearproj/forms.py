@@ -13,7 +13,7 @@ import scipy.sparse
 
 from .errors import InvalidArgumentError
 from .quadrature import quadrature_rule
-from .space import physical_grads, physical_points, shape_grads, shape_values
+from .space import physical_points, shape_grads, shape_values
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,28 @@ def _velocity(space, form):
 
 
 def _local_matrices(space, form, rule, V, G):
+    """Element matrices as geometry tensors contracted with reference tensors.
+
+    On an affine simplex with J^{-1} = Jinv the stiffness matrix is
+    sum_ab (det Jinv Jinv^T)_ab S_abij with S_abij = sum_q w_q G_qia G_qjb,
+    and the advection matrix sum_a (det Jinv v)_a T_aij with
+    T_aij = sum_q w_q V_qi G_qja (Kirby & Logg, ACM TOMS 32 (2006)).
+    """
     mesh = space.mesh
-    det = mesh.jacobian_dets[:, None, None]
+    m, d, nloc = mesh.n_elements, mesh.dimension, space.n_local
+    det = mesh.jacobian_dets
     w = rule.weights
     mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
     if form.kind == "mass":
-        return det * mass_ref
-    PG = physical_grads(G, mesh.inverse_jacobians)       # (m, nq, nloc, d)
-    loc = np.einsum("q,mqid,mqjd->mij", w, PG, PG) * det
+        return det[:, None, None] * mass_ref
+    Jinv = mesh.inverse_jacobians
+    S = np.einsum("q,qia,qjb->abij", w, G, G).reshape(d * d, nloc * nloc)
+    geometry = det[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
+    loc = (geometry.reshape(m, d * d) @ S).reshape(m, nloc, nloc)
     if form.kind == "adr":
-        adv = np.einsum("q,mqj,qi->mij", w, PG @ _velocity(space, form), V)
-        loc = loc - adv * det + form.kappa * det * mass_ref
+        T = np.einsum("q,qi,qja->aij", w, V, G).reshape(d, nloc * nloc)
+        adv = ((det[:, None] * (Jinv @ _velocity(space, form))) @ T).reshape(loc.shape)
+        loc = loc - adv + form.kappa * det[:, None, None] * mass_ref
     return loc
 
 
@@ -172,20 +183,24 @@ def assemble_load(space, form, u):
     mesh = space.mesh
     rule, V, G = _element_data(space, 2 * space.degree + 4)
     xq = physical_points(mesh.element_vertices, rule.points)
-    det = mesh.jacobian_dets
     w = rule.weights
     flat = xq.reshape(-1, mesh.dimension)
-    b_el = np.zeros((mesh.n_elements, space.n_local))
+    # b_ei = det_e sum_q w_q (s_q V_qi + sum_a r_qa G_qia): s are the value
+    # samples and r the gradient samples mapped to reference coordinates
+    samples = np.zeros(xq.shape[:2])
+    b_el = 0.0
     if form.kind in ("mass", "adr"):
         uq = np.asarray(u.value(flat), dtype=float).reshape(xq.shape[:2])
-        scale = 1.0 if form.kind == "mass" else form.kappa
-        b_el += scale * np.einsum("q,mq,qi->mi", w, uq, V) * det[:, None]
+        samples += uq if form.kind == "mass" else form.kappa * uq
     if form.kind in ("stiffness", "adr"):
         gu = np.asarray(u.gradient(flat), dtype=float).reshape(xq.shape)
-        PG = physical_grads(G, mesh.inverse_jacobians)
-        b_el += np.einsum("q,mqd,mqid->mi", w, gu, PG) * det[:, None]
         if form.kind == "adr":
-            b_el -= np.einsum("q,mq,qi->mi", w, gu @ _velocity(space, form), V) * det[:, None]
-    b = np.zeros(space.n_dofs)
-    np.add.at(b, space.element_dofs.ravel(), b_el.ravel())
+            samples -= gu @ _velocity(space, form)
+        mapped = (gu @ mesh.inverse_jacobians.transpose(0, 2, 1)) * w[:, None]
+        b_el = mapped.reshape(mesh.n_elements, -1) @ G.transpose(0, 2, 1).reshape(
+            -1, space.n_local)
+    b_el = b_el + (samples * w) @ V
+    b_el *= mesh.jacobian_dets[:, None]
+    b = np.bincount(space.element_dofs.ravel(), weights=b_el.ravel(),
+                    minlength=space.n_dofs)
     return b[space.free_dofs]

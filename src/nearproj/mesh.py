@@ -203,11 +203,18 @@ class MeshPair:
 
     mesh_a: Mesh
     mesh_b: Mesh
-    shared_elements: frozenset          # of (index_in_a, index_in_b)
+    # the element of b at each element of a, or -1 where they differ
+    match: np.ndarray = field(repr=False, compare=False)
     differing_region_measure: float
     gamma_nominal: float
     shared_mask_a: np.ndarray = field(repr=False, compare=False, default=None)
     shared_mask_b: np.ndarray = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def shared_elements(self):
+        """frozenset of (index_in_a, index_in_b) for the shared elements."""
+        ia = np.flatnonzero(self.shared_mask_a)
+        return frozenset(zip(ia.tolist(), self.match[ia].tolist()))
 
     def differing_elements_a(self):
         return np.where(~self.shared_mask_a)[0]
@@ -275,7 +282,6 @@ def classify_pair(a, b, gamma_nominal):
     ia = np.flatnonzero(mask_a)
     mask_b = np.zeros(b.n_elements, dtype=bool)
     mask_b[match[ia]] = True
-    shared = zip(ia.tolist(), match[ia].tolist())
 
     shared_measure_a = float(a.element_measures[mask_a].sum())
     shared_measure_b = float(b.element_measures[mask_b].sum())
@@ -284,10 +290,9 @@ def classify_pair(a, b, gamma_nominal):
     if abs(diff_a - diff_b) > MEASURE_TOL:
         raise GeometryError(
             f"differing-region measure disagrees between meshes: {diff_a} vs {diff_b}")
-    mask_a.setflags(write=False)
-    mask_b.setflags(write=False)
-    return MeshPair(a, b, frozenset(shared), diff_a, float(gamma_nominal),
-                    mask_a, mask_b)
+    for arr in (match, mask_a, mask_b):
+        arr.setflags(write=False)
+    return MeshPair(a, b, match, diff_a, float(gamma_nominal), mask_a, mask_b)
 
 
 # -- the overlay of the differing region --------------------------------------

@@ -145,19 +145,14 @@ def cross_mesh_norm(diff, spec):
     rule = quadrature_rule(mesh_a.dimension, 2 * degree)
 
     region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
-    total = 0.0
-    shared = sorted(pair.shared_elements)
-    if shared:
-        ia = np.array([p[0] for p in shared], dtype=np.int64)
-        ib = np.array([p[1] for p in shared], dtype=np.int64)
-        if region is not None:
-            keep = np.isin(ia, region)
-            ia, ib = ia[keep], ib[keep]
-        pts = physical_points(mesh_a.element_vertices[ia], rule.points)
-        va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
-        vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
-        total += _squared_difference(va, ga, vb, gb, rule.weights,
-                                     mesh_a.jacobian_dets[ia])
+    ia = np.flatnonzero(pair.shared_mask_a)
+    if region is not None:
+        ia = ia[np.isin(ia, region)]
+    ib = pair.match[ia]
+    pts = physical_points(mesh_a.element_vertices[ia], rule.points)
+    va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
+    vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
+    total = _squared_difference(va, ga, vb, gb, rule.weights, mesh_a.jacobian_dets[ia])
 
     simplices, ia, ib, covered = pair.fragments
     if region is not None:

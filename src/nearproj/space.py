@@ -5,7 +5,8 @@ Local degree-of-freedom order per element:
     1-D P2: [v0, v1, midpoint]           2-D P2: [v0, v1, v2, e01, e12, e20]
 
 Shape functions are expressed in barycentric coordinates; all element maps
-are affine, so physical gradients are reference gradients times J^{-1}.
+are affine, so physical gradients are reference gradients times J^{-1}, and
+evaluation contracts the coefficients with reference tables before mapping.
 """
 
 import numpy as np
@@ -174,16 +175,25 @@ def evaluate(f, x):
     return value, grad
 
 
-def physical_grads(G, Jinv):
-    """Physical gradients G J^{-1} of reference gradients G, (nq, l, d) or
-    (K, nq, l, d), on elements with inverse Jacobians Jinv (K, d, d)."""
-    return G @ Jinv[:, None]
-
-
 def physical_points(vertices, ref_pts):
     """Images of reference points under the affine maps of simplices (K, d+1, d)."""
     JT = vertices[:, 1:, :] - vertices[:, :1, :]
-    return vertices[:, :1, :] + np.einsum("qd,kde->kqe", ref_pts, JT)
+    return vertices[:, :1, :] + ref_pts @ JT
+
+
+def _reference_grads(space, c, lam):
+    """Reference gradients of the element functions with coefficients c
+    (K, n_loc) at points with barycentric coordinates lam, (nq, d+1) shared
+    by all elements or (K, nq, d+1); returns (K, nq, d).
+
+    For degree <= 2 the gradient is affine on each element, so it is the
+    barycentric combination of its values at the d+1 reference vertices, which
+    one product of c with the vertex gradients of the shape functions gives.
+    """
+    dim = space.mesh.dimension
+    G = shape_grads(dim, space.degree, np.eye(dim + 1)[:, 1:])    # (d+1, n_loc, d)
+    at_vertices = c @ G.transpose(1, 0, 2).reshape(space.n_local, -1)
+    return lam @ at_vertices.reshape(len(c), dim + 1, dim)
 
 
 def eval_on_elements(space, coeffs, elem_idx, ref_pts, gradients=False):
@@ -191,33 +201,28 @@ def eval_on_elements(space, coeffs, elem_idx, ref_pts, gradients=False):
 
     Returns values (K, nq) and, if requested, physical gradients (K, nq, d).
     """
-    V = shape_values(space.mesh.dimension, space.degree, ref_pts)
+    dim = space.mesh.dimension
     c = coeffs[space.element_dofs[elem_idx]]              # (K, n_loc)
-    vals = c @ V.T                                        # (K, nq)
+    vals = c @ shape_values(dim, space.degree, ref_pts).T  # (K, nq)
     if not gradients:
         return vals, None
-    G = shape_grads(space.mesh.dimension, space.degree, ref_pts)   # (nq, n_loc, d)
-    Jinv = space.mesh.inverse_jacobians[elem_idx]                  # (K, d, d)
-    grads = np.einsum("kl,kqle->kqe", c, physical_grads(G, Jinv))
-    return vals, grads
+    grads = _reference_grads(space, c, _bary(dim, ref_pts))
+    return vals, grads @ space.mesh.inverse_jacobians[elem_idx]
 
 
 def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
     """Evaluate on known elements at per-element physical points (K, nq, d)."""
     v0 = space.mesh.element_vertices[elem_idx, 0, :]               # (K, d)
     Jinv = space.mesh.inverse_jacobians[elem_idx]                  # (K, d, d)
-    ref = np.einsum("kde,kqe->kqd", Jinv, phys_pts - v0[:, None, :])
+    ref = (phys_pts - v0[:, None, :]) @ Jinv.transpose(0, 2, 1)    # (K, nq, d)
     K, nq, d = ref.shape
-    V = shape_values(space.mesh.dimension, space.degree, ref.reshape(-1, d))
-    V = V.reshape(K, nq, space.n_local)
+    V = shape_values(d, space.degree, ref.reshape(-1, d)).reshape(K, nq, space.n_local)
     c = coeffs[space.element_dofs[elem_idx]]
-    vals = np.einsum("kl,kql->kq", c, V)
+    vals = (V @ c[:, :, None])[:, :, 0]
     if not gradients:
         return vals, None
-    G = shape_grads(space.mesh.dimension, space.degree, ref.reshape(-1, d))
-    G = G.reshape(K, nq, space.n_local, d)
-    grads = np.einsum("kl,kqle->kqe", c, physical_grads(G, Jinv))
-    return vals, grads
+    lam = _bary(d, ref.reshape(-1, d)).reshape(K, nq, d + 1)
+    return vals, _reference_grads(space, c, lam) @ Jinv
 
 
 def shared_dof_mask(pair, space, other):

@@ -21,6 +21,11 @@ from .theory import RateInputs, observed_orders, predicted_sigma, predicted_sigm
 
 SQRT2 = math.sqrt(2.0)
 
+# Largest number of free DOFs, (degree n - 1)^dimension, that a study may ask
+# for at its finest level n = n0 2^(levels - 1); the 2-D P2 level n = 256
+# (261,121 DOFs) fits.
+MAX_FREE_DOFS = 2 ** 18
+
 
 def _sin_pi():
     pi = np.pi
@@ -150,6 +155,13 @@ class StudyConfig:
         object.__setattr__(self, "n0", n0)
         if n0 < 2:
             raise InvalidArgumentError("n0 must be >= 2")
+        # past 64 levels the count is far over any budget; skip the huge integer
+        n = n0 * 2 ** (self.levels - 1) if self.levels <= 64 else math.inf
+        free_dofs = (self.degree * n - 1) ** self.dimension
+        if free_dofs > MAX_FREE_DOFS:
+            raise InvalidArgumentError(
+                f"n0 = {n0} and levels = {self.levels} ask for {free_dofs} free DOFs "
+                f"at the finest level, above the budget of {MAX_FREE_DOFS}")
         if self.rate_inputs is None:
             ri = RateInputs(gamma=self.perturbation.gamma(self.dimension),
                             eta=math.inf, delta=math.inf,

@@ -3,6 +3,7 @@ import pytest
 
 from nearproj import (build_space, build_uniform_interval, build_uniform_square,
                       classify_pair, named_function, perturb_node_nearest)
+from nearproj.mesh import Mesh
 
 
 @pytest.fixture
@@ -52,3 +53,13 @@ def random_fe_function(space, rng, sparsity=1.0):
         keep = rng.random(space.n_dofs) < sparsity
         coeffs = np.where(keep, coeffs, 0.0)
     return FeFunction(space, coeffs)
+
+
+def jittered_mesh(dim, rng):
+    """A unit-box mesh with every interior node moved by up to h/10 per
+    coordinate, so that no two elements share a Jacobian."""
+    mesh = build_uniform_interval(8) if dim == 1 else build_uniform_square(4)
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
+    nodes[interior] += 0.2 * mesh.h * (rng.random((interior.size, dim)) - 0.5)
+    return Mesh(dim, nodes, mesh.elements, mesh.boundary_nodes)

@@ -126,6 +126,16 @@ class TestCmdStudy:
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_levels_past_free_dof_budget_is_usage_error(self, tmp_path, capsys):
+        config = TABLE2_CONFIG.replace("dimension = 1", "dimension = 2").replace(
+            "point = 0.25", "point = 0.25,0.25").replace("u = sin_pi", "u = sin_pi_2d")
+        path = write(tmp_path, config.replace("levels = 6", "levels = 12"))
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert ("n0 = 8 and levels = 12 ask for 268402689 free DOFs at the finest "
+                "level, above the budget of 262144") in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("key", ["kappa", "velocity"])
     def test_adr_key_needs_adr_form(self, tmp_path, key):
         path = write(tmp_path, TABLE2_CONFIG + f"{key} = 1\n")

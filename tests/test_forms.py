@@ -8,9 +8,74 @@ from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
                       fe_norm, perturb_node_nearest, perturbed_form)
-from nearproj.space import evaluate
+from nearproj.forms import _element_data, _local_matrices
+from nearproj.space import evaluate, physical_points
 
-from conftest import random_fe_function
+from conftest import jittered_mesh, random_fe_function
+
+
+def oracle_local_matrices(space, form, rule, V, G):
+    """Element matrices from physical gradients at every quadrature point."""
+    mesh = space.mesh
+    det = mesh.jacobian_dets[:, None, None]
+    w = rule.weights
+    mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
+    if form.kind == "mass":
+        return det * mass_ref
+    PG = G @ mesh.inverse_jacobians[:, None]              # (m, nq, nloc, d)
+    loc = np.einsum("q,mqid,mqjd->mij", w, PG, PG) * det
+    if form.kind == "adr":
+        adv = np.einsum("q,mqj,qi->mij", w, PG @ np.array(form.velocity), V)
+        loc = loc - adv * det + form.kappa * det * mass_ref
+    return loc
+
+
+def oracle_load(space, form, u):
+    """Load vector from physical gradients at every quadrature point."""
+    mesh = space.mesh
+    rule, V, G = _element_data(space, 2 * space.degree + 4)
+    xq = physical_points(mesh.element_vertices, rule.points)
+    det = mesh.jacobian_dets[:, None]
+    w = rule.weights
+    flat = xq.reshape(-1, mesh.dimension)
+    b_el = np.zeros((mesh.n_elements, space.n_local))
+    if form.kind in ("mass", "adr"):
+        uq = u.value(flat).reshape(xq.shape[:2])
+        scale = 1.0 if form.kind == "mass" else form.kappa
+        b_el += scale * np.einsum("q,mq,qi->mi", w, uq, V) * det
+    if form.kind in ("stiffness", "adr"):
+        gu = u.gradient(flat).reshape(xq.shape)
+        PG = G @ mesh.inverse_jacobians[:, None]
+        b_el += np.einsum("q,mqd,mqid->mi", w, gu, PG) * det
+        if form.kind == "adr":
+            vq = gu @ np.array(form.velocity)
+            b_el -= np.einsum("q,mq,qi->mi", w, vq, V) * det
+    b = np.zeros(space.n_dofs)
+    np.add.at(b, space.element_dofs.ravel(), b_el.ravel())
+    return b[space.free_dofs]
+
+
+class TestReferenceTensorKernels:
+    """The reference-tensor kernels against per-quadrature-point formulas."""
+
+    FORMS = {"mass": lambda d: MASS, "stiffness": lambda d: STIFFNESS,
+             "adr": lambda d: BilinearFormSpec("adr", kappa=0.75,
+                                               velocity=(1.0, 0.5)[:d])}
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_local_matrices_and_load(self, dim, degree, kind, rng):
+        form = self.FORMS[kind](dim)
+        s = build_space(jittered_mesh(dim, rng), degree, dirichlet=True)
+        rule, V, G = _element_data(s, 2 * degree)
+        got = _local_matrices(s, form, rule, V, G)
+        want = oracle_local_matrices(s, form, rule, V, G)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        from nearproj import named_function
+        u = named_function("sin_pi" if dim == 1 else "sin_pi_2d")
+        got, want = assemble_load(s, form, u), oracle_load(s, form, u)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestFunctionSpec:

@@ -6,9 +6,10 @@ from nearproj import (FeFunction, FunctionSpec, InvalidArgumentError,
                       build_uniform_square, classify_pair, evaluate,
                       interpolate_nodal, intersection_project,
                       perturb_boundary_band, perturb_node_nearest)
-from nearproj.space import shape_values
+from nearproj.space import (eval_at_physical, eval_on_elements, physical_points,
+                            shape_grads, shape_values)
 
-from conftest import random_fe_function
+from conftest import jittered_mesh, random_fe_function
 
 
 class TestBuildSpace:
@@ -73,6 +74,36 @@ class TestBuildSpace:
                             space.dof_coords[dofs] - v0)
             vals = shape_values(dim, degree, ref)
             assert np.allclose(vals, np.eye(len(dofs)), atol=1e-12)
+
+
+class TestBatchedEvaluation:
+    """Batched values and gradients against per-point physical gradients."""
+
+    @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_per_point_formula(self, dim, degree, rng):
+        mesh = jittered_mesh(dim, rng)
+        s = build_space(mesh, degree, dirichlet=False)
+        f = random_fe_function(s, rng)
+        c = f.coeffs[s.element_dofs]
+        elems = np.arange(mesh.n_elements)
+        ref = rng.random((7, dim)) / dim                  # inside the simplex
+        vals, grads = eval_on_elements(s, f.coeffs, elems, ref, gradients=True)
+        PG = shape_grads(dim, degree, ref) @ mesh.inverse_jacobians[:, None]
+        assert np.allclose(vals, c @ shape_values(dim, degree, ref).T,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(grads, np.einsum("kl,kqle->kqe", c, PG), rtol=0, atol=1e-12)
+        # the same points given in physical coordinates
+        pts = physical_points(mesh.element_vertices, ref)
+        vals_p, grads_p = eval_at_physical(s, f.coeffs, elems, pts, gradients=True)
+        assert np.allclose(vals_p, vals, rtol=0, atol=1e-13)
+        assert np.allclose(grads_p, grads, rtol=0, atol=1e-12)
+
+    def test_empty_batch(self, mesh2d4):
+        s = build_space(mesh2d4, 2, dirichlet=False)
+        none = np.zeros(0, dtype=np.int64)
+        vals, grads = eval_at_physical(s, np.zeros(s.n_dofs), none,
+                                       np.zeros((0, 3, 2)), gradients=True)
+        assert vals.shape == (0, 3) and grads.shape == (0, 3, 2)
 
 
 class TestEvaluate:
