@@ -30,9 +30,6 @@ class FunctionSpec:
     name: str = ""
     dimension: int = None
 
-    def __call__(self, x):
-        return self.value(np.asarray(x, dtype=float))
-
 
 ZERO = FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
                     gradient=lambda x: np.zeros_like(x), name="zero")
@@ -56,9 +53,6 @@ class BilinearFormSpec:
     base: "BilinearFormSpec" = None
     delta: float = None
     perturbation: "BilinearFormSpec" = None
-    mu: int = 0
-    nu: int = 0
-    q: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("mass", "stiffness", "adr", "perturbed"):
@@ -99,9 +93,9 @@ MASS = BilinearFormSpec("mass")
 STIFFNESS = BilinearFormSpec("stiffness")
 
 
-def perturbed_form(base, delta, perturbation=MASS, mu=0, nu=0, q=2.0):
+def perturbed_form(base, delta, perturbation=MASS):
     return BilinearFormSpec("perturbed", base=base, delta=delta,
-                            perturbation=perturbation, mu=mu, nu=nu, q=q)
+                            perturbation=perturbation)
 
 
 def _element_data(space, exactness):

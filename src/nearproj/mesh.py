@@ -56,15 +56,13 @@ class Mesh:
         if np.any(det <= 0.0):
             raise DegenerateMeshError("element with nonpositive measure")
         self.element_vertices = verts
-        self.jacobians = jac
         self.jacobian_dets = det
         self.inverse_jacobians = np.linalg.inv(jac)
         self.element_measures = det / (1.0 if dimension == 1 else 2.0)
         self.element_diameters = self._diameters(verts)
         self.h = float(self.element_diameters.max())
-        for arr in (self.nodes, self.elements, self.element_vertices, self.jacobians,
-                    self.jacobian_dets, self.inverse_jacobians, self.element_measures,
-                    self.element_diameters):
+        for arr in (self.nodes, self.elements, self.element_vertices, self.jacobian_dets,
+                    self.inverse_jacobians, self.element_measures, self.element_diameters):
             arr.setflags(write=False)
 
     @staticmethod
@@ -207,8 +205,14 @@ class MeshPair:
     match: np.ndarray = field(repr=False, compare=False)
     differing_region_measure: float
     gamma_nominal: float
-    shared_mask_a: np.ndarray = field(repr=False, compare=False, default=None)
-    shared_mask_b: np.ndarray = field(repr=False, compare=False, default=None)
+
+    @property
+    def shared_mask_a(self):
+        return self.match >= 0
+
+    @property
+    def shared_mask_b(self):
+        return np.isin(np.arange(self.mesh_b.n_elements), self.match)
 
     @cached_property
     def shared_elements(self):
@@ -230,6 +234,19 @@ class MeshPair:
         for arr in out[:3]:
             arr.setflags(write=False)
         return out
+
+
+def row_keys(rows, base):
+    """One int64 key per row of integers in [0, base), ordered as the rows
+    are lexicographically.  The key is exact while base^(row length) < 2^63:
+    for element rows of node ids, (n_nodes + 1)^(d + 1) < 2^63."""
+    if base ** rows.shape[1] >= 2 ** 63:
+        raise InvalidArgumentError(
+            f"{rows.shape[1]} integers below {base} do not fit one int64 key")
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        key = key * base + column
+    return key
 
 
 def match_points(x, y):
@@ -269,30 +286,24 @@ def classify_pair(a, b, gamma_nominal):
     """
     if a.dimension != b.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
-    # an element is a sorted row of node ids in b (-1 for an unmatched node);
-    # rows that np.unique numbers alike are the same element
+    # an element is a sorted row of node ids in b, shifted by one so that an
+    # unmatched node is 0; rows with the same key are the same element
     rows = np.sort(np.concatenate([match_points(a.nodes, b.nodes)[a.elements],
-                                   b.elements]), axis=1)
-    _, row_id = np.unique(rows, axis=0, return_inverse=True)
-    row_id = row_id.ravel()
+                                   b.elements]), axis=1) + 1
+    _, row_id = np.unique(row_keys(rows, b.n_nodes + 1), return_inverse=True)
     element_in_b = np.full(row_id.max() + 1, -1, dtype=np.int64)
     element_in_b[row_id[a.n_elements:]] = np.arange(b.n_elements)
     match = element_in_b[row_id[:a.n_elements]]
-    mask_a = match >= 0
-    ia = np.flatnonzero(mask_a)
-    mask_b = np.zeros(b.n_elements, dtype=bool)
-    mask_b[match[ia]] = True
+    match.setflags(write=False)
 
-    shared_measure_a = float(a.element_measures[mask_a].sum())
-    shared_measure_b = float(b.element_measures[mask_b].sum())
-    diff_a = a.domain_measure - shared_measure_a
-    diff_b = b.domain_measure - shared_measure_b
+    shared = match >= 0
+    diff_a = a.domain_measure - float(a.element_measures[shared].sum())
+    # the shared elements of b in their own order
+    diff_b = b.domain_measure - float(b.element_measures[np.sort(match[shared])].sum())
     if abs(diff_a - diff_b) > MEASURE_TOL:
         raise GeometryError(
             f"differing-region measure disagrees between meshes: {diff_a} vs {diff_b}")
-    for arr in (match, mask_a, mask_b):
-        arr.setflags(write=False)
-    return MeshPair(a, b, match, diff_a, float(gamma_nominal), mask_a, mask_b)
+    return MeshPair(a, b, match, diff_a, float(gamma_nominal))
 
 
 # -- the overlay of the differing region --------------------------------------

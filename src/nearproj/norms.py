@@ -23,9 +23,8 @@ from .space import eval_at_physical, eval_on_elements, physical_points
 
 CONSERVATION_TOL = 1e-10
 
-_GRID_1D = np.linspace(0.0, 1.0, 25)[:, None]
-_GRID_2D = np.array([[i / 8.0, j / 8.0]
-                     for i in range(9) for j in range(9 - i)])
+_GRID = {1: np.linspace(0.0, 1.0, 25)[:, None],
+         2: np.array([[i / 8.0, j / 8.0] for i in range(9) for j in range(9 - i)])}
 
 
 @dataclass(frozen=True)
@@ -55,41 +54,67 @@ class CrossMeshDiff:
             raise InvalidArgumentError("functions do not match the meshes of the pair")
 
 
-def sobolev_norm_exact_diff(f, u, spec):
-    """W^{s,eta} norm of (f - u) for an FeFunction f and exact u."""
+def _elements(spec, mesh):
+    """Every element of `mesh`, or the region of `spec` as sorted int64 indices."""
+    n = mesh.n_elements
+    if spec.region is None:
+        return np.arange(n)
+    idx = np.array(list(spec.region))
+    if idx.size and (idx.dtype.kind not in "biu" or idx.min() < 0 or idx.max() >= n):
+        bad = [i for i in spec.region if not (isinstance(i, (int, np.integer)) and 0 <= i < n)]
+        raise InvalidArgumentError(
+            f"region entries {sorted(bad, key=repr)} are not element indices 0 .. {n - 1}")
+    return np.sort(idx).astype(np.int64)
+
+
+def _sample(f, u, elems, eta, gradients):
+    """f - u on the elements elems of f's mesh, at the fixed grid when
+    eta = inf and else at a rule exact to degree 2 degree + 6.
+
+    Returns the rule's weights (None on the grid) and the parts: the value
+    differences (K, nq) and, with `gradients`, the gradient differences
+    (K, nq, d).
+    """
     space = f.space
     mesh = space.mesh
+    if math.isinf(eta):
+        pts, weights = _GRID[mesh.dimension], None
+    else:
+        rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
+        pts, weights = rule.points, rule.weights
+    vals, grads = eval_on_elements(space, f.coeffs, elems, pts, gradients=gradients)
+    flat = physical_points(mesh.element_vertices[elems], pts).reshape(-1, mesh.dimension)
+    parts = [vals - np.asarray(u.value(flat)).reshape(vals.shape)]
+    if gradients:
+        parts.append(grads - np.asarray(u.gradient(flat)).reshape(grads.shape))
+    return weights, parts
+
+
+def _integral(parts, eta, weights, det):
+    """Sum over parts, values (K, nq) or gradients (K, nq, d), of the
+    integral of |part|^eta, with the rule's weights and the element
+    determinants det (K,); with weights None (the grid), the largest
+    magnitude instead."""
+    if weights is None:
+        return max(float(np.abs(p).max(initial=0.0)) for p in parts)
+    total = 0.0
+    for p in parts:
+        total += np.einsum("kqd"[:p.ndim] + ",q,k->", np.abs(p) ** eta, weights, det)
+    return total
+
+
+def _norm(total, eta):
+    return float(total if math.isinf(eta) else total ** (1.0 / eta))
+
+
+def sobolev_norm_exact_diff(f, u, spec):
+    """W^{s,eta} norm of (f - u) for an FeFunction f and exact u."""
     if spec.s == 1 and u.gradient is None:
         raise InvalidArgumentError("s=1 norm requires a gradient for u")
-    elems = (np.arange(mesh.n_elements) if spec.region is None
-             else np.array(sorted(spec.region), dtype=np.int64))
-
-    if math.isinf(spec.eta):
-        grid = _GRID_1D if mesh.dimension == 1 else _GRID_2D
-        vals, grads = eval_on_elements(space, f.coeffs, elems, grid,
-                                       gradients=spec.s == 1)
-        pts = physical_points(mesh.element_vertices[elems], grid)
-        pts = pts.reshape(-1, mesh.dimension)
-        uvals = np.asarray(u.value(pts)).reshape(vals.shape)
-        sup = np.abs(vals - uvals).max()
-        if spec.s == 1:
-            ugrads = np.asarray(u.gradient(pts)).reshape(grads.shape)
-            sup = max(sup, np.abs(grads - ugrads).max())
-        return float(sup)
-
-    rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
-    vals, grads = eval_on_elements(space, f.coeffs, elems, rule.points,
-                                   gradients=spec.s == 1)
-    pts = physical_points(mesh.element_vertices[elems], rule.points)
-    flat = pts.reshape(-1, mesh.dimension)
-    uvals = np.asarray(u.value(flat)).reshape(vals.shape)
-    det = mesh.jacobian_dets[elems]
-    total = np.einsum("kq,q,k->", np.abs(vals - uvals) ** spec.eta, rule.weights, det)
-    if spec.s == 1:
-        ugrads = np.asarray(u.gradient(flat)).reshape(grads.shape)
-        diff = np.abs(grads - ugrads) ** spec.eta
-        total += np.einsum("kqd,q,k->", diff, rule.weights, det)
-    return float(total ** (1.0 / spec.eta))
+    mesh = f.space.mesh
+    elems = _elements(spec, mesh)
+    weights, parts = _sample(f, u, elems, spec.eta, spec.s == 1)
+    return _norm(_integral(parts, spec.eta, weights, mesh.jacobian_dets[elems]), spec.eta)
 
 
 def fe_norm(f, spec):
@@ -103,34 +128,12 @@ def fe_component_norms(f, k, eta):
     Used to check support/Holder inequalities in the norm convention that sums
     component norms.
     """
-    space = f.space
-    mesh = space.mesh
+    mesh = f.space.mesh
     elems = np.arange(mesh.n_elements)
-    if math.isinf(eta):
-        grid = _GRID_1D if mesh.dimension == 1 else _GRID_2D
-        vals, grads = eval_on_elements(space, f.coeffs, elems, grid, gradients=k == 1)
-        out = [float(np.abs(vals).max())]
-        if k == 1:
-            out += [float(np.abs(grads[:, :, d]).max()) for d in range(mesh.dimension)]
-        return out
-    rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
-    vals, grads = eval_on_elements(space, f.coeffs, elems, rule.points, gradients=k == 1)
-    det = mesh.jacobian_dets
-    out = [float(np.einsum("kq,q,k->", np.abs(vals) ** eta, rule.weights, det)
-                 ** (1.0 / eta))]
+    weights, parts = _sample(f, ZERO, elems, eta, k == 1)
     if k == 1:
-        for d in range(mesh.dimension):
-            out.append(float(np.einsum("kq,q,k->", np.abs(grads[:, :, d]) ** eta,
-                                       rule.weights, det) ** (1.0 / eta)))
-    return out
-
-
-def _squared_difference(va, ga, vb, gb, weights, det):
-    """Quadrature of (va - vb)^2, plus |ga - gb|^2 when gradients are given."""
-    total = np.einsum("kq,q,k->", (va - vb) ** 2, weights, det)
-    if ga is not None:
-        total += np.einsum("kqd,q,k->", (ga - gb) ** 2, weights, det)
-    return total
+        parts = parts[:1] + [parts[1][:, :, d] for d in range(mesh.dimension)]
+    return [_norm(_integral([p], eta, weights, mesh.jacobian_dets), eta) for p in parts]
 
 
 def cross_mesh_norm(diff, spec):
@@ -140,35 +143,33 @@ def cross_mesh_norm(diff, spec):
     f_a, f_b, pair = diff.f_a, diff.f_b, diff.pair
     sa, sb = f_a.space, f_b.space
     mesh_a = pair.mesh_a
-    degree = sa.degree
     need_grad = spec.s == 1
-    rule = quadrature_rule(mesh_a.dimension, 2 * degree)
+    rule = quadrature_rule(mesh_a.dimension, 2 * sa.degree)
 
-    region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
-    ia = np.flatnonzero(pair.shared_mask_a)
-    if region is not None:
-        ia = ia[np.isin(ia, region)]
-    ib = pair.match[ia]
+    elems = _elements(spec, mesh_a)
+    ia = elems[pair.match[elems] >= 0]
     pts = physical_points(mesh_a.element_vertices[ia], rule.points)
     va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
-    vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
-    total = _squared_difference(va, ga, vb, gb, rule.weights, mesh_a.jacobian_dets[ia])
+    vb, gb = eval_at_physical(sb, f_b.coeffs, pair.match[ia], pts, gradients=need_grad)
+    parts = [va - vb] if ga is None else [va - vb, ga - gb]
+    shared = _integral(parts, 2, rule.weights, mesh_a.jacobian_dets[ia])
 
     simplices, ia, ib, covered = pair.fragments
-    if region is not None:
-        keep = np.isin(ia, region)
+    if spec.region is not None:
+        keep = np.isin(ia, elems)
         simplices, ia, ib = simplices[keep], ia[keep], ib[keep]
     pts = physical_points(simplices, rule.points)
     va, ga = eval_at_physical(sa, f_a.coeffs, ia, pts, gradients=need_grad)
     vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
+    parts = [va - vb] if ga is None else [va - vb, ga - gb]
     det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
-    total += _squared_difference(va, ga, vb, gb, rule.weights, det)
+    fragments = _integral(parts, 2, rule.weights, det)
     if spec.region is None and \
             abs(covered - pair.differing_region_measure) > CONSERVATION_TOL:
         raise GeometryError(
             f"clipped fragments cover {covered:.17g} of a differing region "
             f"of measure {pair.differing_region_measure:.17g}")
-    return float(np.sqrt(total))
+    return float(np.sqrt(shared + fragments))
 
 
 def seminorm_exact(u, k, eta, approximate_ok=False):

@@ -20,11 +20,6 @@ MAX_DEGREE_2D = 14
 class QuadratureRule:
     points: np.ndarray        # (nq, dim), reference coordinates
     weights: np.ndarray       # (nq,), positive, sum to reference measure
-    exactness_degree: int
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
 
 def _gauss01(m):
@@ -42,7 +37,7 @@ def quadrature_rule(dimension, exactness_degree):
                 f"1-D rules support exactness <= {MAX_DEGREE_1D}, got {exactness_degree}")
         m = (exactness_degree + 2) // 2
         x, w = _gauss01(max(m, 1))
-        return QuadratureRule(x[:, None].copy(), w.copy(), 2 * max(m, 1) - 1)
+        return QuadratureRule(x[:, None].copy(), w.copy())
     if dimension == 2:
         if exactness_degree > MAX_DEGREE_2D:
             raise InvalidArgumentError(
@@ -56,5 +51,5 @@ def quadrature_rule(dimension, exactness_degree):
         X = np.repeat(x, m)
         Y = np.tile(y, m) * (1.0 - X)
         W = np.repeat(wx, m) * np.tile(wy, m)
-        return QuadratureRule(np.column_stack([X, Y]), W, 2 * m - 1)
+        return QuadratureRule(np.column_stack([X, Y]), W)
     raise InvalidArgumentError(f"unsupported dimension {dimension}")

@@ -12,7 +12,7 @@ evaluation contracts the coefficients with reference tables before mapping.
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfDomainError
-from .mesh import match_points
+from .mesh import match_points, row_keys
 
 BARY_TOL = 1e-12
 
@@ -62,10 +62,6 @@ def shape_grads(dim, degree, pts):
     return np.stack(out, axis=1)
 
 
-def n_local_dofs(dim, degree):
-    return dim + 1 + (len(_EDGES[dim]) if degree == 2 else 0)
-
-
 class FeSpace:
     """Lagrange space of degree r-1 in {1,2} over a mesh, with Dirichlet mask."""
 
@@ -88,14 +84,14 @@ class FeSpace:
             # numbers the edges in the order the elements meet them
             ends = np.sort(mesh.elements[:, _EDGES[mesh.dimension]], axis=2)
             ends = ends.reshape(-1, 2)
-            _, first, inverse = np.unique(ends, axis=0, return_index=True,
+            _, first, inverse = np.unique(row_keys(ends, nn), return_index=True,
                                           return_inverse=True)
             rank = np.empty_like(first)
             rank[np.argsort(first)] = np.arange(first.size)
             edges = ends[np.sort(first)]
             mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
             self.element_dofs = np.concatenate(
-                [mesh.elements, nn + rank[inverse.ravel()].reshape(mesh.n_elements, -1)],
+                [mesh.elements, nn + rank[inverse].reshape(mesh.n_elements, -1)],
                 axis=1)
             self.dof_coords = np.concatenate([mesh.nodes, mid], axis=0)
             # a midpoint is constrained only if the edge itself lies on the
@@ -108,16 +104,14 @@ class FeSpace:
         self.dirichlet_mask = boundary & self.dirichlet
         self.free_dofs = np.flatnonzero(~self.dirichlet_mask)
         self.n_free = int(self.free_dofs.size)
-        self.free_index = np.full(self.n_dofs, -1, dtype=np.int64)
-        self.free_index[self.free_dofs] = np.arange(self.n_free)
 
         for arr in (self.element_dofs, self.dof_coords, self.dirichlet_mask,
-                    self.free_dofs, self.free_index):
+                    self.free_dofs):
             arr.setflags(write=False)
 
     @property
     def n_local(self):
-        return n_local_dofs(self.mesh.dimension, self.degree)
+        return self.element_dofs.shape[1]
 
 
 def build_space(mesh, degree, dirichlet):

@@ -276,7 +276,7 @@ def run_perturbed_form_study(delta, levels, degree=1, n0=8, gamma_pair=False):
     """
     if delta < 0:
         raise InvalidArgumentError("delta must be >= 0")
-    form = perturbed_form(STIFFNESS, delta, MASS, mu=0, nu=0, q=2.0)
+    form = perturbed_form(STIFFNESS, delta, MASS)
     pert = (PerturbationSpec("single-node", point=(0.25,), fraction=0.25)
             if gamma_pair else
             PerturbationSpec("single-node", point=(0.25,), fraction=0.0))

@@ -11,7 +11,8 @@ from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec, GeometryError,
                       perturb_node_nearest, project, seminorm_exact,
                       sobolev_norm_exact_diff, support_measure)
 from nearproj.norms import fe_component_norms
-from nearproj.space import evaluate
+from nearproj.quadrature import quadrature_rule
+from nearproj.space import eval_at_physical, eval_on_elements, evaluate, physical_points
 
 from conftest import random_fe_function
 
@@ -334,3 +335,150 @@ class TestHolderSupportInequality:
             rhs = supp ** (0.5 - (0.0 if math.isinf(eta) else 1.0 / eta)) \
                 * sum(fe_component_norms(f, k, eta))
             assert lhs <= 1.01 * rhs
+
+
+# -- the norms against their formulas written out branch by branch ------------
+
+_GRID = {1: np.linspace(0.0, 1.0, 25)[:, None],
+         2: np.array([[i / 8.0, j / 8.0] for i in range(9) for j in range(9 - i)])}
+
+
+def _exact_diff_oracle(f, u, spec):
+    """sobolev_norm_exact_diff with a grid branch and a rule branch."""
+    mesh = f.space.mesh
+    elems = (np.arange(mesh.n_elements) if spec.region is None
+             else np.array(sorted(spec.region), dtype=np.int64))
+    if math.isinf(spec.eta):
+        grid = _GRID[mesh.dimension]
+        vals, grads = eval_on_elements(f.space, f.coeffs, elems, grid,
+                                       gradients=spec.s == 1)
+        pts = physical_points(mesh.element_vertices[elems], grid).reshape(
+            -1, mesh.dimension)
+        sup = np.abs(vals - np.asarray(u.value(pts)).reshape(vals.shape)).max()
+        if spec.s == 1:
+            ugrads = np.asarray(u.gradient(pts)).reshape(grads.shape)
+            sup = max(sup, np.abs(grads - ugrads).max())
+        return float(sup)
+    rule = quadrature_rule(mesh.dimension, 2 * f.space.degree + 6)
+    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points,
+                                   gradients=spec.s == 1)
+    flat = physical_points(mesh.element_vertices[elems], rule.points).reshape(
+        -1, mesh.dimension)
+    uvals = np.asarray(u.value(flat)).reshape(vals.shape)
+    det = mesh.jacobian_dets[elems]
+    total = np.einsum("kq,q,k->", np.abs(vals - uvals) ** spec.eta, rule.weights, det)
+    if spec.s == 1:
+        ugrads = np.asarray(u.gradient(flat)).reshape(grads.shape)
+        total += np.einsum("kqd,q,k->", np.abs(grads - ugrads) ** spec.eta,
+                           rule.weights, det)
+    return float(total ** (1.0 / spec.eta))
+
+
+def _component_oracle(f, k, eta):
+    """fe_component_norms with a grid branch and a rule branch."""
+    mesh = f.space.mesh
+    elems = np.arange(mesh.n_elements)
+    if math.isinf(eta):
+        vals, grads = eval_on_elements(f.space, f.coeffs, elems, _GRID[mesh.dimension],
+                                       gradients=k == 1)
+        out = [float(np.abs(vals).max())]
+        if k == 1:
+            out += [float(np.abs(grads[:, :, d]).max()) for d in range(mesh.dimension)]
+        return out
+    rule = quadrature_rule(mesh.dimension, 2 * f.space.degree + 6)
+    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points,
+                                   gradients=k == 1)
+    det = mesh.jacobian_dets
+    out = [float(np.einsum("kq,q,k->", np.abs(vals) ** eta, rule.weights, det)
+                 ** (1.0 / eta))]
+    if k == 1:
+        out += [float(np.einsum("kq,q,k->", np.abs(grads[:, :, d]) ** eta,
+                                rule.weights, det) ** (1.0 / eta))
+                for d in range(mesh.dimension)]
+    return out
+
+
+def _cross_oracle(diff, spec):
+    """cross_mesh_norm as one running sum of squares over both passes."""
+    f_a, f_b, pair = diff.f_a, diff.f_b, diff.pair
+    grad = spec.s == 1
+    rule = quadrature_rule(pair.mesh_a.dimension, 2 * f_a.space.degree)
+
+    def squares(va, ga, vb, gb, det):
+        total = np.einsum("kq,q,k->", (va - vb) ** 2, rule.weights, det)
+        if grad:
+            total += np.einsum("kqd,q,k->", (ga - gb) ** 2, rule.weights, det)
+        return total
+
+    region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
+    ia = np.flatnonzero(pair.match >= 0)
+    if region is not None:
+        ia = ia[np.isin(ia, region)]
+    pts = physical_points(pair.mesh_a.element_vertices[ia], rule.points)
+    va, ga = eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, gradients=grad)
+    vb, gb = eval_at_physical(f_b.space, f_b.coeffs, pair.match[ia], pts, gradients=grad)
+    total = squares(va, ga, vb, gb, pair.mesh_a.jacobian_dets[ia])
+    simplices, ia, ib, _ = pair.fragments
+    if region is not None:
+        keep = np.isin(ia, region)
+        simplices, ia, ib = simplices[keep], ia[keep], ib[keep]
+    pts = physical_points(simplices, rule.points)
+    va, ga = eval_at_physical(f_a.space, f_a.coeffs, ia, pts, gradients=grad)
+    vb, gb = eval_at_physical(f_b.space, f_b.coeffs, ib, pts, gradients=grad)
+    det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
+    total += squares(va, ga, vb, gb, det)
+    return float(np.sqrt(total))
+
+
+def _pair(dim, identical):
+    mesh = build_uniform_interval(8) if dim == 1 else build_uniform_square(4)
+    point = (0.25,) if dim == 1 else (0.25, 0.25)
+    moved = mesh if identical else perturb_node_nearest(
+        mesh, point, (mesh.h / 4,) + (0.0,) * (dim - 1))
+    return classify_pair(mesh, moved, float(dim))
+
+
+class TestNormOracle:
+    """Every norm is bitwise equal to its formulas written out in full."""
+
+    @pytest.mark.parametrize("eta", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exact_diff_and_components(self, dim, degree, s, eta, sin1d, sin2d, rng):
+        mesh = _pair(dim, identical=True).mesh_a
+        f = random_fe_function(build_space(mesh, degree, dirichlet=False), rng)
+        u = sin1d if dim == 1 else sin2d
+        for region in (None, frozenset(range(1, mesh.n_elements, 3))):
+            spec = NormSpec(s, eta, region=region)
+            assert sobolev_norm_exact_diff(f, u, spec) == _exact_diff_oracle(f, u, spec)
+        assert fe_component_norms(f, s, eta) == _component_oracle(f, s, eta)
+
+    @pytest.mark.parametrize("identical", [False, True], ids=["moved", "identical"])
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_mesh(self, dim, degree, s, identical, rng):
+        pair = _pair(dim, identical)
+        f_a = random_fe_function(build_space(pair.mesh_a, degree, dirichlet=True), rng)
+        f_b = random_fe_function(build_space(pair.mesh_b, degree, dirichlet=True), rng)
+        diff = CrossMeshDiff(f_a, f_b, pair)
+        if identical:
+            assert len(pair.fragments[0]) == 0
+        for region in (None, frozenset(range(0, pair.mesh_a.n_elements, 2))):
+            spec = NormSpec(s, 2, region=region)
+            assert cross_mesh_norm(diff, spec) == _cross_oracle(diff, spec)
+
+
+@pytest.mark.parametrize("region", [{-1}, {8}, {100}, {0.5}, {0, 2.0}, {"0"}],
+                         ids=["negative", "n_elements", "far", "half", "float", "str"])
+def test_region_entries_must_be_element_indices(region, pair1d8, sin1d):
+    # mesh1d8 has 8 elements; every bad entry fails the same way in both norms
+    sa = build_space(pair1d8.mesh_a, 1, dirichlet=True)
+    sb = build_space(pair1d8.mesh_b, 1, dirichlet=True)
+    f_a, f_b = FeFunction(sa, np.ones(sa.n_dofs)), FeFunction(sb, np.ones(sb.n_dofs))
+    spec = NormSpec(0, 2, region=frozenset(region))
+    with pytest.raises(InvalidArgumentError, match="not element indices"):
+        sobolev_norm_exact_diff(f_a, sin1d, spec)
+    with pytest.raises(InvalidArgumentError, match="not element indices"):
+        cross_mesh_norm(CrossMeshDiff(f_a, f_b, pair1d8), spec)
