@@ -15,8 +15,8 @@ from .quadrature import QuadratureRule, quadrature_rule
 from .space import (FeFunction, FeSpace, build_space, evaluate,
                     interpolate_nodal, intersection_project)
 from .study import (PerturbationSpec, StudyConfig, StudyResult, StudyRow,
-                    named_function, power_regularity, run_perturbed_form_study,
-                    run_projection_study, run_regularity_study)
+                    named_function, power_regularity, run_projection_study,
+                    run_regularity_study)
 from .theory import (RateInputs, observed_orders, predicted_sigma,
                      predicted_sigma_prime, q_restriction_ok)
 

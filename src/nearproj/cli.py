@@ -10,10 +10,11 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, InvalidArgumentError, NearprojError
-from .forms import MASS, STIFFNESS, BilinearFormSpec
+from .forms import MASS, STIFFNESS, BilinearFormSpec, perturbed_form
 from .norms import NormSpec
 from .study import (PerturbationSpec, StudyConfig, named_function,
-                    run_projection_study, run_regularity_study)
+                    predicted_order_for_norm, run_projection_study,
+                    run_regularity_study)
 from .theory import (RateInputs, predicted_sigma, predicted_sigma_prime,
                      q_restriction_ok)
 
@@ -43,6 +44,10 @@ def _rows(columns):
             row[label + ":order"] = r.orders.get(spec)
         rows.append(row)
     return rows
+
+
+def _number(value, spec):
+    return "n/a" if value is None else format(value, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ def _format_table(report):
             o = row[label + ":order"]
             cells.append(("-" if o is None else f"{o:.4f}").rjust(8))
         lines.append("  ".join(cells))
-    pred = ", ".join(f"{label}: " + ("n/a" if p is None else f"{p:.4f}")
+    pred = ", ".join(f"{label}: {_number(p, '.4f')}"
                      for label, p in report.predictions.items())
     lines.append(f"predicted orders: {pred}")
     lines += report.notes
@@ -247,8 +252,9 @@ def cmd_table(args):
 # flat key = value study configs
 
 _CONFIG_KEYS = {"dimension", "degree", "form", "kappa", "velocity", "perturbation",
-                "point", "fraction", "u", "n0", "levels", "norms", "gamma", "eta",
-                "delta", "mu", "nu"}
+                "point", "fraction", "u", "n0", "levels", "norms", "delta"}
+# rate inputs that the perturbation, u and the form fix
+_DERIVED_KEYS = {"gamma", "eta", "mu", "nu"}
 
 
 def parse_study_config(path):
@@ -263,8 +269,10 @@ def parse_study_config(path):
                                   line=lineno)
             key, value = (t.strip() for t in stripped.split("=", 1))
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}",
-                                  key=key, line=lineno)
+                problem = (f"{key!r} is derived from the config; try other values "
+                           f"with 'nearproj predict'" if key in _DERIVED_KEYS
+                           else f"unknown key {key!r}")
+                raise ConfigError(f"{path}:{lineno}: {problem}", key=key, line=lineno)
             raw[key] = (value, lineno)
 
     def get(key, convert, default=None, required=False):
@@ -321,6 +329,8 @@ def parse_study_config(path):
             lineno = raw[key][1]
             raise ConfigError(f"{path}:{lineno}: {key!r} applies only to form = adr",
                               key=key, line=lineno)
+    # a_h^+ = a_h + h^delta * mass on mesh b
+    form = get("delta", lambda text: perturbed_form(form, float(text)), form)
 
     pert_kind = get("perturbation", str, required=True)
     if pert_kind != "single-node" and "point" in raw:
@@ -349,32 +359,22 @@ def parse_study_config(path):
     norms = get("norms", parse_norms, (NormSpec(0, 2),))
 
     try:
-        cfg = StudyConfig(dimension=dimension, degree=degree, form=form,
-                          perturbation=pert, u=u_name, levels=levels, n0=n0,
-                          norms=norms)
+        return StudyConfig(dimension=dimension, degree=degree, form=form,
+                           perturbation=pert, u=u_name, levels=levels, n0=n0,
+                           norms=norms)
     except InvalidArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # the rate inputs default to the ones StudyConfig derives
-    rates = cfg.rate_inputs
-    for key, convert in (("gamma", float), ("eta", float), ("delta", float),
-                         ("mu", int), ("nu", int)):
-        rates = override(rates, key, convert)
-    return replace(cfg, rate_inputs=rates)
 
 
 def cmd_study(args):
-    try:
-        cfg = parse_study_config(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_study_config(args.config)
     result = run_projection_study(cfg)
     columns = [(f"norm_{spec.s}_2", result, spec) for spec in cfg.norms]
     ri = cfg.rate_inputs
     notes = [f"note: {flag}" for flag in result.flags]
-    notes.append(f"predicted sigma = {predicted_sigma(ri):.4g}")
+    notes.append(f"predicted sigma = {_number(predicted_sigma(ri), '.4g')}")
     if ri.s == 1:
-        notes.append(f"predicted sigma' = {predicted_sigma_prime(ri):.4g}")
+        notes.append(f"predicted sigma' = {_number(predicted_sigma_prime(ri), '.4g')}")
     _emit(Report(f"study {args.config}", _rows(columns),
                  [label for label, _, _ in columns],
                  {label: result.predicted_orders[spec] for label, _, spec in columns},
@@ -383,35 +383,32 @@ def cmd_study(args):
 
 
 def cmd_predict(args):
-    try:
-        ri = RateInputs(gamma=args.gamma, eta=args.eta, delta=args.delta,
-                        mu=args.mu, nu=args.nu, s=args.s, r=args.r)
-    except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.q is not None and args.d is not None \
-            and not q_restriction_ok(args.d, args.nu, args.q):
-        print(f"error: q={args.q} violates the embedding restriction for "
-              f"d={args.d}, nu={args.nu}", file=sys.stderr)
-        return 2
-    sigma = predicted_sigma(ri)
-    print(f"sigma  = {sigma:.6g}")
-    print(f"predicted H^s order (r - s + sigma) = {ri.r - ri.s + sigma:.6g}")
+    ri = RateInputs(gamma=args.gamma, eta=args.eta, delta=args.delta,
+                    mu=args.mu, nu=args.nu, s=args.s, r=args.r)
+    if (args.q is None) != (args.d is None):
+        raise InvalidArgumentError("--q and -d go together; "
+                                   f"{'-d' if args.d is None else '--q'} is missing")
+    if args.q is not None and not q_restriction_ok(args.d, args.nu, args.q):
+        raise InvalidArgumentError(f"q={args.q} violates the embedding restriction "
+                                   f"for d={args.d}, nu={args.nu}")
+    print(f"sigma  = {_number(predicted_sigma(ri), '.6g')}")
+    print("predicted H^s order (r - s + sigma) = "
+          f"{_number(predicted_order_for_norm(NormSpec(ri.s, 2), ri), '.6g')}")
     if ri.s == 1:
-        sp = predicted_sigma_prime(ri)
-        print(f"sigma' = {sp:.6g}")
-        print(f"predicted L2 order (r + sigma') = {ri.r + sp:.6g}")
+        print(f"sigma' = {_number(predicted_sigma_prime(ri), '.6g')}")
+        print("predicted L2 order (r + sigma') = "
+              f"{_number(predicted_order_for_norm(L2, ri), '.6g')}")
     return 0
 
 
 def cmd_regularity(args):
-    result, reference = run_regularity_study(args.p, args.levels)
+    result = run_regularity_study(args.p, args.levels)
     columns = [("L2" if spec.s == 0 else "H1", result, spec)
                for spec in result.config.norms]
     print(_format_table(Report(
         f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p!r}",
         _rows(columns), [label for label, _, _ in columns],
-        {label: reference[spec] for label, _, spec in columns})))
+        {label: result.predicted_orders[spec] for label, _, spec in columns})))
     return 0
 
 
@@ -460,7 +457,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NearprojError as exc:
+    except (NearprojError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,8 @@ class FunctionSpec:
 
     seminorms maps (order, integrability) -> analytic value |u|_{k,eta}.
     dimension is the dimension of the domain it is defined on (None: any).
+    regularity is the (k, eta) of the Sobolev space W^{k,eta} that the
+    predicted orders take u from; (inf, inf) for a smooth function.
     """
 
     value: callable
@@ -29,6 +31,7 @@ class FunctionSpec:
     seminorms: dict = field(default_factory=dict)
     name: str = ""
     dimension: int = None
+    regularity: tuple = (math.inf, math.inf)
 
 
 ZERO = FunctionSpec(value=lambda x: np.zeros(x.shape[0]),
@@ -68,7 +71,7 @@ class BilinearFormSpec:
             if self.base is None or self.perturbation is None or self.delta is None:
                 raise InvalidArgumentError(
                     "perturbed form requires base, delta and perturbation")
-            if self.delta < 0:
+            if not self.delta >= 0:   # also rejects nan
                 raise InvalidArgumentError("delta must be >= 0 (or inf)")
 
     @property

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .forms import (MASS, STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec,
-                    perturbed_form)
+from .forms import STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec
 from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
                    perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
@@ -61,7 +60,7 @@ def power_regularity(p):
         value=lambda x: x[:, 0] ** a - x[:, 0],
         gradient=lambda x: (a * x[:, 0] ** (a - 1.0) - 1.0)[:, None],
         seminorms={(1, math.inf): 1.0},   # sup of |a x^(a-1) - 1| is 1, at x = 0
-        name=f"power_p{p:g}", dimension=1)
+        name=f"power_p{p:g}", dimension=1, regularity=(2, p))
 
 
 FUNCTIONS = {
@@ -117,6 +116,9 @@ class PerturbationSpec:
         return perturb_node_nearest(mesh, (h,), (self.fraction * h,))
 
     def gamma(self, dimension):
+        """Scaling of the differing region's measure; inf: identical meshes."""
+        if self.fraction == 0:
+            return math.inf
         return float(dimension) if self.kind == "single-node" else 1.0
 
     def check_dimension(self, dimension):
@@ -140,7 +142,6 @@ class StudyConfig:
     levels: int
     n0: int = None
     norms: tuple = (NormSpec(0, 2),)
-    rate_inputs: RateInputs = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -162,11 +163,19 @@ class StudyConfig:
             raise InvalidArgumentError(
                 f"n0 = {n0} and levels = {self.levels} ask for {free_dofs} free DOFs "
                 f"at the finest level, above the budget of {MAX_FREE_DOFS}")
-        if self.rate_inputs is None:
-            ri = RateInputs(gamma=self.perturbation.gamma(self.dimension),
-                            eta=math.inf, delta=math.inf,
-                            s=self.form.s, r=self.degree + 1)
-            object.__setattr__(self, "rate_inputs", ri)
+        self.rate_inputs   # check the derived inputs before any level runs
+
+    @property
+    def rate_inputs(self):
+        """The paper's rate inputs as the run fixes them: gamma from the
+        perturbation, (k, eta) from u, delta and mu = nu from the form, and
+        r = min(degree + 1, k)."""
+        k, eta = named_function(self.u).regularity
+        delta, mu = ((self.form.delta, self.form.perturbation.s)
+                     if self.form.kind == "perturbed" else (math.inf, 0))
+        return RateInputs(gamma=self.perturbation.gamma(self.dimension), eta=eta,
+                          delta=delta, mu=mu, nu=mu, s=self.form.s,
+                          r=min(self.degree + 1, k))
 
 
 @dataclass(frozen=True)
@@ -187,12 +196,15 @@ class StudyResult:
 
 
 def predicted_order_for_norm(spec, rate_inputs):
-    """Expected convergence order of the cross-mesh norm for one NormSpec."""
+    """Expected convergence order of the cross-mesh norm for one NormSpec
+    (None: no prediction applies)."""
     s_form, r = rate_inputs.s, rate_inputs.r
     if spec.s == s_form:
-        return r - s_form + predicted_sigma(rate_inputs)
+        sigma = predicted_sigma(rate_inputs)
+        return None if sigma is None else r - s_form + sigma
     if spec.s == 0 and s_form == 1:
-        return r + predicted_sigma_prime(rate_inputs)
+        sigma = predicted_sigma_prime(rate_inputs)
+        return None if sigma is None else r + sigma
     return None
 
 
@@ -247,49 +259,17 @@ def run_projection_study(cfg):
     return StudyResult(cfg, tuple(rows), predicted, tuple(flags))
 
 
-REGULARITY_L2_RATE = lambda p: 2.5 - 1.0 / p
-REGULARITY_H1_RATE = lambda p: 1.5 - 1.0 / p
-
-
 def run_regularity_study(p, levels, n0=8):
     """Interpolant supercloseness for u of limited regularity (grid with the
-    second node shifted to 3h/2); reports L2/H1 orders against the reference
-    rates 5/2 - 1/p and 3/2 - 1/p."""
+    second node shifted to 3h/2); with eta = p the predicted L2/H1 orders
+    are 5/2 - 1/p and 3/2 - 1/p."""
     if not p > 2:
         raise InvalidArgumentError("p must exceed 2")
-    cfg = StudyConfig(
+    return run_projection_study(StudyConfig(
         dimension=1, degree=1, form=STIFFNESS,
         perturbation=PerturbationSpec("shifted-second-node", fraction=0.5),
         u=f"power_p{float(p)!r}", levels=levels, n0=n0,
-        norms=(NormSpec(0, 2), NormSpec(1, 2)))
-    result = run_projection_study(cfg)
-    reference = {NormSpec(0, 2): REGULARITY_L2_RATE(p),
-                 NormSpec(1, 2): REGULARITY_H1_RATE(p)}
-    return result, reference
-
-
-def run_perturbed_form_study(delta, levels, degree=1, n0=8, gamma_pair=False):
-    """Supercloseness driven by a_h^+ = stiffness + h^delta * mass.
-
-    With gamma_pair=False the meshes are identical, isolating the form
-    difference; with True the single-node gamma=1 pair is used as well.
-    """
-    if delta < 0:
-        raise InvalidArgumentError("delta must be >= 0")
-    form = perturbed_form(STIFFNESS, delta, MASS)
-    pert = (PerturbationSpec("single-node", point=(0.25,), fraction=0.25)
-            if gamma_pair else
-            PerturbationSpec("single-node", point=(0.25,), fraction=0.0))
-    # identical meshes admit an arbitrarily large gamma; 1e9 keeps the gamma
-    # term out of the minimum without introducing float infinities
-    gamma = 1.0 if gamma_pair else 1e9
-    ri = RateInputs(gamma=gamma, eta=math.inf, delta=delta, mu=0, nu=0, s=1,
-                    r=degree + 1)
-    cfg = StudyConfig(
-        dimension=1, degree=degree, form=form, perturbation=pert, u="sin_pi",
-        levels=levels, n0=n0, norms=(NormSpec(1, 2), NormSpec(0, 2)),
-        rate_inputs=ri)
-    return run_projection_study(cfg)
+        norms=(NormSpec(0, 2), NormSpec(1, 2))))
 
 
 def naive_bound_check(cfg, level):

@@ -1,8 +1,9 @@
 """Closed-form superconvergence-order predictors and empirical order extraction.
 
-delta = inf encodes the case of identical bilinear forms; the terms it
-controls drop out of the minima explicitly rather than through float
-arithmetic on infinities.
+gamma = inf encodes identical meshes and delta = inf identical bilinear
+forms; the terms they control drop out of the minima explicitly rather than
+through float arithmetic on infinities.  With both infinite there is no term
+and the prediction is None.
 """
 
 import math
@@ -15,7 +16,7 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class RateInputs:
-    gamma: float
+    gamma: float          # >= 0, or math.inf for identical meshes
     eta: float
     delta: float          # >= 0, or math.inf for identical forms
     mu: int = 0
@@ -39,28 +40,31 @@ class RateInputs:
             raise InvalidArgumentError("r must exceed s")
 
 
-def _gamma_term(ri):
+def _gamma_terms(ri):
+    if math.isinf(ri.gamma):
+        return []
     inv_eta = 0.0 if math.isinf(ri.eta) else 1.0 / ri.eta
-    return ri.gamma * (0.5 - inv_eta)
+    return [ri.gamma * (0.5 - inv_eta)]
 
 
 def predicted_sigma(ri):
-    """Extra order of the H^s-norm supercloseness beyond the projection rate."""
-    terms = [_gamma_term(ri)]
+    """Extra order of the H^s-norm supercloseness beyond the projection rate
+    (None when both meshes and forms are identical)."""
+    terms = _gamma_terms(ri)
     if not math.isinf(ri.delta):
         terms.append((ri.delta + 2 * ri.s - ri.mu - ri.nu) / 2.0)
-    return min(terms)
+    return min(terms, default=None)
 
 
 def predicted_sigma_prime(ri):
     """Extra order of the L2-norm supercloseness of elliptic projections."""
     if ri.s != 1:
         raise InvalidArgumentError("sigma' applies only to s = 1 forms")
-    terms = [_gamma_term(ri)]
+    terms = _gamma_terms(ri)
     if not math.isinf(ri.delta):
         terms.append((ri.delta + 2 - ri.mu - ri.nu) / 2.0)
         terms.append(ri.delta - ri.mu)
-    return min(terms)
+    return min(terms, default=None)
 
 
 def q_restriction_ok(d, nu, q):

@@ -15,8 +15,9 @@ from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec, MASS, NormSpec,
                       fe_norm, interpolate_nodal, intersection_project,
                       named_function, perturb_boundary_band, perturb_node_nearest,
                       predicted_sigma, predicted_sigma_prime, project,
-                      run_perturbed_form_study, run_regularity_study,
-                      assemble_load, assemble_matrix)
+                      run_projection_study, run_regularity_study,
+                      assemble_load, assemble_matrix, perturbed_form,
+                      PerturbationSpec, StudyConfig)
 from nearproj.cli import STORED_2D_NORM_FACTOR, TABLES, run_table
 from nearproj.norms import fe_component_norms
 from nearproj.study import FUNCTIONS
@@ -145,7 +146,7 @@ def test_criterion_6_table6_orders(timed_tables):
 
 
 def test_criterion_7_regularity_counterexample():
-    result, reference = run_regularity_study(4.0, levels=8)
+    result = run_regularity_study(4.0, levels=8)
     last_two_l2 = [result.rows[i].orders[L2] for i in (-2, -1)]
     last_two_h1 = [result.rows[i].orders[H1] for i in (-2, -1)]
     ok = all(abs(o - 2.25) <= 0.05 for o in last_two_l2) and \
@@ -310,7 +311,11 @@ def test_criterion_9_perturbed_form_orders():
     details = []
     ok = True
     for delta in (0.0, 1.0, 2.0):
-        result = run_perturbed_form_study(delta, levels=5)
+        # identical meshes, a_h on one and a_h + h^delta mass on the other
+        result = run_projection_study(StudyConfig(
+            dimension=1, degree=1, form=perturbed_form(STIFFNESS, delta),
+            perturbation=PerturbationSpec("single-node", point=(0.25,), fraction=0.0),
+            u="sin_pi", levels=5, norms=(H1, L2)))
         predicted = result.predicted_orders[H1]
         observed = result.rows[-1].orders[H1]
         ok &= observed >= predicted - 0.1

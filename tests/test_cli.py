@@ -165,20 +165,61 @@ class TestCmdStudy:
         assert f"study.cfg:6: perturbation {kind!r}" in capsys.readouterr().err
 
     def test_bad_rate_input_names_file_line_and_key(self, tmp_path, capsys):
-        path = write(tmp_path, TABLE2_CONFIG + "gamma = 1\neta = 1\n")
-        assert main(["study", path]) == 2
-        err = capsys.readouterr().err
-        assert "study.cfg:14:" in err and "'eta'" in err
+        # gamma, eta, mu and nu follow from the perturbation, u and the form
+        for key in ("gamma", "eta", "mu", "nu"):
+            path = write(tmp_path, TABLE2_CONFIG + f"delta = 1\n{key} = 1\n")
+            assert main(["study", path]) == 2
+            captured = capsys.readouterr()
+            assert f"study.cfg:14: {key!r} is derived from the config" in captured.err
+            assert "Traceback" not in captured.out + captured.err
 
     def test_eta4_sigma_printed(self, tmp_path, capsys):
-        text = TABLE2_CONFIG + "gamma = 1\neta = 4\n"
-        path = write(tmp_path, text, "eta4.cfg")
-        assert main(["study", path]) == 0
+        path = write(tmp_path, TABLE2_CONFIG + "eta = 4\n", "eta4.cfg")
+        assert main(["study", path]) == 2
+        assert "eta4.cfg:13: 'eta' is derived" in capsys.readouterr().err
+        # eta = 4 comes from u = x^(2-1/4) - x: sigma = gamma (1/2 - 1/eta)
+        text = TABLE2_CONFIG.replace("u = sin_pi", "u = power_p4")
+        assert main(["study", write(tmp_path, text, "eta4.cfg")]) == 0
+        assert "sigma = 0.25" in capsys.readouterr().out
+
+    def test_rate_keys_that_only_changed_the_prediction_are_rejected(self, tmp_path,
+                                                                     capsys):
+        text = TABLE2_CONFIG.replace("levels = 6", "levels = 5")
+        path = write(tmp_path, text + "delta = 0\nmu = 1\nnu = 1\n")
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "study.cfg:14: 'mu' is derived from the config" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_delta_runs_the_perturbed_form(self, tmp_path, capsys):
+        # identical meshes: a_h on mesh a, a_h + h mass on mesh b
+        text = TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0")
+        assert main(["study", write(tmp_path, text + "delta = 1\n")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "predicted orders: norm_1_2: 2.5000" in lines
+        assert float(lines[7].split()[2]) >= 2.4
+
+    def test_identical_meshes_and_forms_predict_nothing(self, tmp_path, capsys):
+        text = TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0")
+        assert main(["study", write(tmp_path, text.replace("levels = 6", "levels = 2"))]) == 0
         out = capsys.readouterr().out
-        assert "sigma = 0.25" in out
+        assert "predicted orders: norm_1_2: n/a" in out
+        assert "predicted sigma = n/a" in out and "predicted sigma' = n/a" in out
 
     def test_missing_file(self, capsys):
         assert main(["study", "/nonexistent/nowhere.cfg"]) == 2
+
+
+@pytest.mark.parametrize("command", ["table", "study"])
+def test_unwritable_csv_is_usage_error(tmp_path, capsys, command):
+    config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
+    argv = ["table", "1"] if command == "table" else ["study", config]
+    csv = str(tmp_path / "missing" / "t.csv")
+    assert main([*argv, "--quiet", "--csv", csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and csv in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 class TestCmdPredict:
@@ -216,10 +257,23 @@ class TestCmdPredict:
         assert f"error: {name}" in captured.err
         assert captured.out == ""
 
-    def test_q_restriction_violation(self, capsys):
+    @pytest.mark.parametrize("flags,message", [
+        (["--q", "7", "-d", "3"], "restriction"),
+        (["--q", "7"], "-d is missing"),
+        (["-d", "3"], "--q is missing"),
+    ], ids=["restriction", "q-without-d", "d-without-q"])
+    def test_q_restriction_violation(self, capsys, flags, message):
         assert main(["predict", "--gamma", "1", "--eta", "inf", "--delta", "1",
-                     "-s", "1", "-r", "2", "--q", "7", "-d", "3", "--nu", "1"]) == 2
-        assert "restriction" in capsys.readouterr().err
+                     "-s", "1", "-r", "2", *flags, "--nu", "1"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_identical_meshes_and_forms(self, capsys):
+        assert main(["predict", "--gamma", "inf", "--eta", "inf", "--delta", "inf",
+                     "-s", "1", "-r", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "sigma  = n/a\npredicted H^s order (r - s + sigma) = n/a\n"
+            "sigma' = n/a\npredicted L2 order (r + sigma') = n/a\n")
 
 
 class TestCmdRegularity:
@@ -245,7 +299,7 @@ class TestCmdRegularity:
         assert main(["regularity", "--p", "2.0000001", "--levels", "2"]) == 0
 
     def test_p_not_rounded(self, capsys):
-        result, _ = run_regularity_study(2.5000004, 2)
+        result = run_regularity_study(2.5000004, 2)
         assert result.config.u == "power_p2.5000004"
         assert main(["regularity", "--p", "2.5000004", "--levels", "2"]) == 0
         assert "x^(2-1/p) - x, p = 2.5000004\n" in capsys.readouterr().out
@@ -298,8 +352,7 @@ def config_texts(draw):
     if cfg["form"] == "adr":
         cfg.update(kappa="1", velocity="0.5" if dim == "1" else "0.5,0.25")
     if draw(st.booleans()):
-        cfg.update(gamma=pick(["1", "2"]), eta=pick(["2", "4", "inf"]),
-                   delta=pick(["0", "1", "inf"]))
+        cfg.update(delta=pick(["0", "1", "inf"]))
     for key, value in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
         cfg[key] = value
     lines = [f"{key} = {value}" for key, value in cfg.items() if value is not None]
@@ -314,4 +367,6 @@ def test_random_config_exits_0_or_2(tmp_path, capsys, text):
     code = main(["study", write(tmp_path, text)])
     captured = capsys.readouterr()
     assert code in (0, 2), text
+    keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
+    assert code == 2 or not keys & {"gamma", "eta", "mu", "nu"}, text
     assert "Traceback" not in captured.out + captured.err, text

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nearproj
 from nearproj import (MASS, NormSpec, PerturbationSpec, STIFFNESS, StudyConfig,
-                      InvalidArgumentError, run_perturbed_form_study,
-                      run_projection_study, run_regularity_study)
+                      InvalidArgumentError, perturbed_form, run_projection_study,
+                      run_regularity_study)
 from nearproj.study import naive_bound_check
 
 L2, H1 = NormSpec(0, 2), NormSpec(1, 2)
@@ -93,15 +95,33 @@ def test_quadratic_column_past_table_3_falls_at_the_predicted_order():
 
 class TestRegularityStudy:
     def test_p4_orders(self):
-        result, reference = run_regularity_study(4.0, levels=4)
+        result = run_regularity_study(4.0, levels=4)
         l2_order = result.rows[-1].orders[L2]
         h1_order = result.rows[-1].orders[H1]
         assert l2_order == pytest.approx(2.25, abs=0.01)
         assert h1_order == pytest.approx(1.25, abs=0.01)
-        assert reference[L2] == 2.25 and reference[H1] == 1.25
+        assert result.predicted_orders == {L2: 2.25, H1: 1.25}
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_predicted_orders_are_the_reference_rates(self, p):
+        # gamma = 1, eta = p, r = 2: r + sigma' and r - 1 + sigma
+        predicted = run_regularity_study(p, levels=2).predicted_orders
+        assert abs(predicted[L2] - (2.5 - 1 / p)) <= 1e-15
+        assert abs(predicted[H1] - (1.5 - 1 / p)) <= 1e-15
+
+    def test_p2_prediction_is_capped_by_the_regularity(self):
+        # u = power_p3 lies in W^{2,3} only, so P2 gains no order over P1:
+        # r = min(degree + 1, 2) = 2 and the H1 order is 1 + 1/2 - 1/3
+        cfg = StudyConfig(dimension=1, degree=2, form=STIFFNESS,
+                          perturbation=PerturbationSpec("shifted-second-node",
+                                                        fraction=0.5),
+                          u="power_p3", levels=2, norms=(H1,))
+        assert cfg.rate_inputs.r == 2
+        assert run_projection_study(cfg).predicted_orders[H1] == pytest.approx(
+            1.5 - 1 / 3, abs=1e-15)
 
     def test_large_p_approaches_smooth_rates(self):
-        result, reference = run_regularity_study(100.0, levels=5)
+        result = run_regularity_study(100.0, levels=5)
         assert result.rows[-1].orders[L2] == pytest.approx(2.49, abs=0.02)
         assert result.rows[-1].orders[H1] == pytest.approx(1.49, abs=0.02)
 
@@ -132,20 +152,32 @@ class TestRegularityStudy:
             run_regularity_study(2.0, levels=3)
 
 
+def perturbed_form_cfg(delta, fraction=0.0):
+    """a_h^+ = stiffness + h^delta mass on mesh b; fraction 0: identical meshes."""
+    return short_cfg(form=perturbed_form(STIFFNESS, delta),
+                     perturbation=replace(PERT_1D, fraction=fraction),
+                     levels=4, norms=(H1, L2))
+
+
 class TestPerturbedFormStudy:
     @pytest.mark.parametrize("delta,predicted_h1", [(0.0, 2.0), (1.0, 2.5), (2.0, 3.0)])
     def test_identical_meshes(self, delta, predicted_h1):
-        result = run_perturbed_form_study(delta, levels=4)
+        result = run_projection_study(perturbed_form_cfg(delta))
         assert result.predicted_orders[H1] == pytest.approx(predicted_h1)
         assert result.rows[-1].orders[H1] >= predicted_h1 - 0.1
 
     def test_gamma_pair_caps_at_half(self):
-        result = run_perturbed_form_study(2.0, levels=4, gamma_pair=True)
+        result = run_projection_study(perturbed_form_cfg(2.0, fraction=0.25))
         assert result.predicted_orders[H1] == pytest.approx(1.5)
         assert result.rows[-1].orders[H1] >= 1.4
 
+    def test_identical_meshes_and_forms_predict_nothing(self):
+        cfg = perturbed_form_cfg(math.inf)
+        assert math.isinf(cfg.rate_inputs.gamma) and math.isinf(cfg.rate_inputs.delta)
+        assert run_projection_study(replace(cfg, levels=2)).predicted_orders == {
+            H1: None, L2: None}
+
     def test_infinite_delta_noise_level(self):
-        import nearproj
         from nearproj.study import build_level
         cfg = StudyConfig(dimension=1, degree=1,
                           form=nearproj.perturbed_form(STIFFNESS, math.inf),
@@ -155,3 +187,9 @@ class TestPerturbedFormStudy:
         pair, f_a, f_b = build_level(cfg, 0)
         from nearproj import CrossMeshDiff, cross_mesh_norm
         assert cross_mesh_norm(CrossMeshDiff(f_a, f_b, pair), H1) < 1e-10
+
+
+def test_exports_name_no_deleted_symbol():
+    assert all(hasattr(nearproj, name) for name in nearproj.__all__)
+    assert not {"run_perturbed_form_study", "REGULARITY_L2_RATE",
+                "REGULARITY_H1_RATE"} & (set(nearproj.__all__) | set(vars(nearproj.study)))

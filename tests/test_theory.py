@@ -31,6 +31,15 @@ class TestPredictedSigma:
         ri = RateInputs(gamma=100, eta=math.inf, delta=1, mu=0, nu=0, s=1, r=2)
         assert predicted_sigma(ri) == 1.5
 
+    def test_infinite_gamma_drops_its_term(self):
+        # identical meshes: no gamma term, not inf * (1/2 - 1/2) = nan
+        ri = RateInputs(gamma=math.inf, eta=2, delta=1, s=1, r=2)
+        assert (predicted_sigma(ri), predicted_sigma_prime(ri)) == (1.5, 1.0)
+
+    def test_identical_meshes_and_forms_predict_none(self):
+        ri = RateInputs(gamma=math.inf, eta=math.inf, delta=math.inf, s=1, r=2)
+        assert predicted_sigma(ri) is None and predicted_sigma_prime(ri) is None
+
 
 class TestPredictedSigmaPrime:
     def test_gamma1(self):
