@@ -9,7 +9,7 @@ from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec, \
 from .mesh import (Mesh, MeshPair, build_uniform_interval, build_uniform_square,
                    classify_pair, perturb_boundary_band, perturb_node_nearest)
 from .norms import (CrossMeshDiff, NormSpec, cross_mesh_norm, fe_norm,
-                    seminorm_exact, sobolev_norm_exact_diff, support_measure)
+                    sobolev_norm_exact_diff, support_measure)
 from .projection import project
 from .quadrature import QuadratureRule, quadrature_rule
 from .space import (FeFunction, FeSpace, build_space, evaluate,

@@ -5,6 +5,7 @@ Exit status: 0 all golden checks pass, 1 a golden check failed, 2 usage error.
 """
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -33,8 +34,10 @@ class Report:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _rows(columns):
-    """One display row per level of `(label, StudyResult, NormSpec)` columns."""
+def _report(title, columns, checks=(), notes=()):
+    """The Report of `(label, StudyResult, NormSpec)` columns: one row per
+    level, the predicted orders, and the results' flags as notes ahead of
+    `notes`."""
     rows = []
     for lev, first in enumerate(columns[0][1].rows):
         row = {"level": first.level, "h_ratio": first.h_ratio}
@@ -43,7 +46,11 @@ def _rows(columns):
             row[label] = r.norm_values[spec]
             row[label + ":order"] = r.orders.get(spec)
         rows.append(row)
-    return rows
+    results = {id(result): result for _, result, _ in columns}.values()
+    flags = [f"note: {flag}" for result in results for flag in result.flags]
+    return Report(title, rows, [label for label, _, _ in columns],
+                  {label: result.predicted_orders[spec] for label, result, spec in columns},
+                  tuple(checks), (*flags, *notes))
 
 
 def _number(value, spec):
@@ -162,15 +169,14 @@ def run_table(table_id):
     definition = TABLES[table_id]
     results = [run_projection_study(cfg) for cfg in definition.configs]
     columns = [(label, results[ci], spec) for label, ci, spec in definition.columns]
-    rows = _rows(columns)
 
     scale, note = ((STORED_2D_NORM_FACTOR,
                     " x sqrt(2) (stored 2-D values are exact norm / sqrt(2))")
                    if definition.configs[0].dimension == 2 else (1.0, ""))
     checks = []
-    for label, _, _ in columns:
-        values = [row[label] for row in rows]
-        final_order = rows[-1][label + ":order"]
+    for label, result, spec in columns:
+        values = [row.norm_values[spec] for row in result.rows]
+        final_order = result.rows[-1].orders.get(spec)
         if label in definition.value_checks:
             rtol = definition.value_checks[label]
             ref = definition.reference[label]
@@ -189,10 +195,7 @@ def run_table(table_id):
             checks.append((f"{label}: final order {expected} +/- {tol}", ok,
                            f"measured {final_order:.4f}"))
 
-    predictions = {label: result.predicted_orders[spec]
-                   for label, result, spec in columns}
-    return Report(definition.title, rows, [label for label, _, _ in columns],
-                  predictions, tuple(checks))
+    return _report(definition.title, columns, checks)
 
 
 def _format_table(report):
@@ -220,31 +223,39 @@ def _format_table(report):
     return "\n".join(lines)
 
 
-def _write_csv(report, path):
-    with open(path, "w", newline="\n") as fh:
-        head = ["level", "h_ratio"]
+def _open_csv(args):
+    """The --csv file, opened before the run so that an unwritable path fails
+    at once; appending leaves an existing file as it was until the report is
+    written."""
+    return open(args.csv, "a", newline="\n") if args.csv else contextlib.nullcontext()
+
+
+def _write_csv(report, fh):
+    fh.truncate(0)
+    head = ["level", "h_ratio"]
+    for label in report.labels:
+        head += [label, label + "_order"]
+    fh.write(",".join(head) + "\n")
+    for row in report.rows:
+        cells = [str(row["level"]), f"{row['h_ratio']:.17g}"]
         for label in report.labels:
-            head += [label, label + "_order"]
-        fh.write(",".join(head) + "\n")
-        for row in report.rows:
-            cells = [str(row["level"]), f"{row['h_ratio']:.17g}"]
-            for label in report.labels:
-                cells.append(f"{row[label]:.17g}")
-                o = row[label + ":order"]
-                cells.append("" if o is None else f"{o:.17g}")
-            fh.write(",".join(cells) + "\n")
+            cells.append(f"{row[label]:.17g}")
+            o = row[label + ":order"]
+            cells.append("" if o is None else f"{o:.17g}")
+        fh.write(",".join(cells) + "\n")
 
 
-def _emit(report, args):
+def _emit(report, args, csv):
     if not args.quiet:
         print(_format_table(report))
-    if args.csv:
-        _write_csv(report, args.csv)
+    if csv is not None:
+        _write_csv(report, csv)
 
 
 def cmd_table(args):
-    report = run_table(args.id)
-    _emit(report, args)
+    with _open_csv(args) as csv:
+        report = run_table(args.id)
+        _emit(report, args, csv)
     return 0 if report.passed else 1
 
 
@@ -368,17 +379,14 @@ def parse_study_config(path):
 
 def cmd_study(args):
     cfg = parse_study_config(args.config)
-    result = run_projection_study(cfg)
-    columns = [(f"norm_{spec.s}_2", result, spec) for spec in cfg.norms]
     ri = cfg.rate_inputs
-    notes = [f"note: {flag}" for flag in result.flags]
-    notes.append(f"predicted sigma = {_number(predicted_sigma(ri), '.4g')}")
+    notes = [f"predicted sigma = {_number(predicted_sigma(ri), '.4g')}"]
     if ri.s == 1:
         notes.append(f"predicted sigma' = {_number(predicted_sigma_prime(ri), '.4g')}")
-    _emit(Report(f"study {args.config}", _rows(columns),
-                 [label for label, _, _ in columns],
-                 {label: result.predicted_orders[spec] for label, _, spec in columns},
-                 notes=tuple(notes)), args)
+    with _open_csv(args) as csv:
+        result = run_projection_study(cfg)
+        columns = [(f"norm_{spec.s}_2", result, spec) for spec in cfg.norms]
+        _emit(_report(f"study {args.config}", columns, notes=notes), args, csv)
     return 0
 
 
@@ -405,10 +413,8 @@ def cmd_regularity(args):
     result = run_regularity_study(args.p, args.levels)
     columns = [("L2" if spec.s == 0 else "H1", result, spec)
                for spec in result.config.norms]
-    print(_format_table(Report(
-        f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p!r}",
-        _rows(columns), [label for label, _, _ in columns],
-        {label: result.predicted_orders[spec] for label, _, spec in columns})))
+    print(_format_table(_report(
+        f"interpolant supercloseness for u(x) = x^(2-1/p) - x, p = {args.p!r}", columns)))
     return 0
 
 

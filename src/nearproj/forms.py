@@ -6,7 +6,7 @@ vector.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -18,9 +18,8 @@ from .space import physical_points, shape_grads, shape_values
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """An exactly evaluable function with optional gradient and known seminorms.
+    """An exactly evaluable function with optional gradient.
 
-    seminorms maps (order, integrability) -> analytic value |u|_{k,eta}.
     dimension is the dimension of the domain it is defined on (None: any).
     regularity is the (k, eta) of the Sobolev space W^{k,eta} that the
     predicted orders take u from; (inf, inf) for a smooth function.
@@ -28,7 +27,6 @@ class FunctionSpec:
 
     value: callable
     gradient: callable = None
-    seminorms: dict = field(default_factory=dict)
     name: str = ""
     dimension: int = None
     regularity: tuple = (math.inf, math.inf)
@@ -47,7 +45,7 @@ class BilinearFormSpec:
                        constant velocity v (None: zero) and finite kappa >= 0;
                        on a space with Dirichlet constraints its symmetric
                        part is stiffness + kappa*mass, so it is coercive
-    kind 'perturbed':  base + h^delta * perturbation
+    kind 'perturbed':  base + h^delta * mass
     """
 
     kind: str
@@ -55,7 +53,6 @@ class BilinearFormSpec:
     velocity: tuple = None
     base: "BilinearFormSpec" = None
     delta: float = None
-    perturbation: "BilinearFormSpec" = None
 
     def __post_init__(self):
         if self.kind not in ("mass", "stiffness", "adr", "perturbed"):
@@ -68,9 +65,9 @@ class BilinearFormSpec:
                 raise InvalidArgumentError(
                     f"velocity components must be finite, got {self.velocity}")
         if self.kind == "perturbed":
-            if self.base is None or self.perturbation is None or self.delta is None:
-                raise InvalidArgumentError(
-                    "perturbed form requires base, delta and perturbation")
+            if self.base is None or self.delta is None:
+                raise InvalidArgumentError("perturbed form requires base and delta "
+                                           "(it adds h^delta * mass)")
             if not self.delta >= 0:   # also rejects nan
                 raise InvalidArgumentError("delta must be >= 0 (or inf)")
 
@@ -88,7 +85,7 @@ class BilinearFormSpec:
         if self.kind == "mass":
             return False
         if self.kind == "perturbed":
-            return self.base.needs_gradient or self.perturbation.needs_gradient
+            return self.base.needs_gradient
         return True
 
 
@@ -96,9 +93,8 @@ MASS = BilinearFormSpec("mass")
 STIFFNESS = BilinearFormSpec("stiffness")
 
 
-def perturbed_form(base, delta, perturbation=MASS):
-    return BilinearFormSpec("perturbed", base=base, delta=delta,
-                            perturbation=perturbation)
+def perturbed_form(base, delta):
+    return BilinearFormSpec("perturbed", base=base, delta=delta)
 
 
 def _element_data(space, exactness):
@@ -159,7 +155,7 @@ def assemble_matrix(space, form):
     if form.kind == "perturbed":
         A = assemble_matrix(space, form.base)
         if not math.isinf(form.delta):
-            A = A + space.mesh.h ** form.delta * assemble_matrix(space, form.perturbation)
+            A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
         return A
     if form.kind == "adr" and not space.dirichlet:
         raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
@@ -172,7 +168,7 @@ def assemble_load(space, form, u):
     if form.kind == "perturbed":
         b = assemble_load(space, form.base, u)
         if not math.isinf(form.delta):
-            b = b + space.mesh.h ** form.delta * assemble_load(space, form.perturbation, u)
+            b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
         return b
     if form.needs_gradient and u.gradient is None:
         raise InvalidArgumentError(

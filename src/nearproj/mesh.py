@@ -96,25 +96,6 @@ class Mesh:
         c = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
         return 2.0 * self.element_measures / (a + b + c)
 
-    def to_text(self):
-        """Plain-text export: header, node lines, element lines, boundary indices."""
-        lines = [f"{self.dimension} {self.n_nodes} {self.n_elements}"]
-        for p in self.nodes:
-            lines.append(" ".join(f"{x:.17g}" for x in p))
-        for el in self.elements:
-            lines.append(" ".join(str(int(i)) for i in el))
-        lines.append(" ".join(str(i) for i in sorted(self.boundary_nodes)))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text):
-        lines = [ln for ln in text.strip().splitlines()]
-        dim, nn, ne = (int(t) for t in lines[0].split())
-        nodes = [[float(t) for t in lines[1 + k].split()] for k in range(nn)]
-        elems = [[int(t) for t in lines[1 + nn + k].split()] for k in range(ne)]
-        bnd = [int(t) for t in lines[1 + nn + ne].split()] if len(lines) > 1 + nn + ne else []
-        return Mesh(dim, np.array(nodes), np.array(elems), bnd)
-
 
 def build_uniform_interval(n):
     """Uniform mesh of [0,1] with n elements and nodes at i/n."""

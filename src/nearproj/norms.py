@@ -22,6 +22,7 @@ from .quadrature import quadrature_rule
 from .space import eval_at_physical, eval_on_elements, physical_points
 
 CONSERVATION_TOL = 1e-10
+SUPPORT_THRESHOLD = 1e-13
 
 _GRID = {1: np.linspace(0.0, 1.0, 25)[:, None],
          2: np.array([[i / 8.0, j / 8.0] for i in range(9) for j in range(9 - i)])}
@@ -172,39 +173,14 @@ def cross_mesh_norm(diff, spec):
     return float(np.sqrt(shared + fragments))
 
 
-def seminorm_exact(u, k, eta, approximate_ok=False):
-    """Seminorm |u|_{k,eta}: the analytic value when known, else a sampled
-    approximation (only with approximate_ok=True; sampling covers the unit
-    interval, so the fallback applies to 1-D functions)."""
-    for key, val in u.seminorms.items():
-        if key[0] == k and (key[1] == eta or (math.isinf(key[1]) and math.isinf(eta))):
-            return float(val)
-    if not approximate_ok:
-        raise InvalidArgumentError(
-            f"no analytic seminorm ({k}, {eta}) for {u.name or 'function'}")
-    if k == 0:
-        f = u.value
-    elif k == 1 and u.gradient is not None:
-        f = lambda x: np.linalg.norm(np.asarray(u.gradient(x)), axis=-1)
-    else:
-        raise InvalidArgumentError(f"derivative order {k} unavailable")
-    xs = np.linspace(0.0, 1.0, 200001)[:, None]
-    vals = np.abs(np.asarray(f(xs)))
-    if math.isinf(eta):
-        return float(vals.max())
-    return float((np.trapezoid(vals.ravel() ** eta, xs.ravel())) ** (1.0 / eta))
-
-
-def support_measure(f, threshold=1e-13):
-    """Total measure of elements where f is not identically below threshold."""
-    if threshold < 0:
-        raise InvalidArgumentError("threshold must be nonnegative")
+def support_measure(f):
+    """Total measure of elements where f is not identically below SUPPORT_THRESHOLD."""
     space = f.space
     mesh = space.mesh
     rule = quadrature_rule(mesh.dimension, 2 * space.degree)
     elems = np.arange(mesh.n_elements)
     vals, _ = eval_on_elements(space, f.coeffs, elems, rule.points)
-    active = np.abs(vals).max(axis=1) > threshold
-    active |= np.abs(f.coeffs[space.element_dofs]).max(axis=1) > threshold
+    active = np.abs(vals).max(axis=1) > SUPPORT_THRESHOLD
+    active |= np.abs(f.coeffs[space.element_dofs]).max(axis=1) > SUPPORT_THRESHOLD
     return float(mesh.element_measures[active].sum())
 

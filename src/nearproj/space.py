@@ -131,11 +131,6 @@ class FeFunction:
         self.space = space
         self.coeffs = coeffs
 
-    def to_text(self):
-        lines = [str(self.space.n_dofs)]
-        lines += [f"{c:.17g}" for c in self.coeffs]
-        return "\n".join(lines) + "\n"
-
 
 def interpolate_nodal(space, u):
     """Nodal interpolant: coefficients are u at the DOF coordinates (free DOFs)."""

@@ -31,8 +31,6 @@ def _sin_pi():
     return FunctionSpec(
         value=lambda x: np.sin(pi * x[:, 0]),
         gradient=lambda x: pi * np.cos(pi * x[:, 0])[:, None],
-        seminorms={(0, 2): 1 / SQRT2, (1, 2): pi / SQRT2, (2, 2): pi ** 2 / SQRT2,
-                   (2, math.inf): pi ** 2, (3, math.inf): pi ** 3},
         name="sin_pi", dimension=1)
 
 
@@ -47,7 +45,6 @@ def _sin_pi_2d():
     return FunctionSpec(
         value=lambda x: np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]),
         gradient=grad,
-        seminorms={(0, 2): 0.5, (2, math.inf): pi ** 2},
         name="sin_pi_2d", dimension=2)
 
 
@@ -59,7 +56,6 @@ def power_regularity(p):
     return FunctionSpec(
         value=lambda x: x[:, 0] ** a - x[:, 0],
         gradient=lambda x: (a * x[:, 0] ** (a - 1.0) - 1.0)[:, None],
-        seminorms={(1, math.inf): 1.0},   # sup of |a x^(a-1) - 1| is 1, at x = 0
         name=f"power_p{p:g}", dimension=1, regularity=(2, p))
 
 
@@ -69,7 +65,6 @@ FUNCTIONS = {
     "bump_quadratic": FunctionSpec(
         value=lambda x: x[:, 0] * (1.0 - x[:, 0]),
         gradient=lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
-        seminorms={(1, math.inf): 1.0, (2, 2): 2.0, (2, math.inf): 2.0},
         name="bump_quadratic", dimension=1),
     "zero": ZERO,
 }
@@ -168,14 +163,12 @@ class StudyConfig:
     @property
     def rate_inputs(self):
         """The paper's rate inputs as the run fixes them: gamma from the
-        perturbation, (k, eta) from u, delta and mu = nu from the form, and
-        r = min(degree + 1, k)."""
+        perturbation, (k, eta) from u, delta from the form, mu = nu = 0 (the
+        perturbation of a form is a mass term) and r = min(degree + 1, k)."""
         k, eta = named_function(self.u).regularity
-        delta, mu = ((self.form.delta, self.form.perturbation.s)
-                     if self.form.kind == "perturbed" else (math.inf, 0))
+        delta = self.form.delta if self.form.kind == "perturbed" else math.inf
         return RateInputs(gamma=self.perturbation.gamma(self.dimension), eta=eta,
-                          delta=delta, mu=mu, nu=mu, s=self.form.s,
-                          r=min(self.degree + 1, k))
+                          delta=delta, s=self.form.s, r=min(self.degree + 1, k))
 
 
 @dataclass(frozen=True)
@@ -259,16 +252,14 @@ def run_projection_study(cfg):
     return StudyResult(cfg, tuple(rows), predicted, tuple(flags))
 
 
-def run_regularity_study(p, levels, n0=8):
+def run_regularity_study(p, levels):
     """Interpolant supercloseness for u of limited regularity (grid with the
-    second node shifted to 3h/2); with eta = p the predicted L2/H1 orders
-    are 5/2 - 1/p and 3/2 - 1/p."""
-    if not p > 2:
-        raise InvalidArgumentError("p must exceed 2")
+    second node shifted to 3h/2, n0 = 8); with eta = p the predicted L2/H1
+    orders are 5/2 - 1/p and 3/2 - 1/p."""
     return run_projection_study(StudyConfig(
         dimension=1, degree=1, form=STIFFNESS,
         perturbation=PerturbationSpec("shifted-second-node", fraction=0.5),
-        u=f"power_p{float(p)!r}", levels=levels, n0=n0,
+        u=f"power_p{float(p)!r}", levels=levels,
         norms=(NormSpec(0, 2), NormSpec(1, 2))))
 
 

@@ -36,3 +36,11 @@ def test_table_4_enters_every_traced_layer(workload, capsys):
     names = {span["name"] for span in tracer.dump()}
     assert {"mesh.classify_pair", "norms.cross_mesh_norm", "norms.shared_pass",
             "projection.solve"} <= names
+
+
+@pytest.mark.parametrize("name,operation", [("node_p2", "n=16"), ("tables", "regularity")])
+def test_workload_operation_passes_its_checks(workload, tmp_path, name, operation):
+    # a library change that breaks a workload fails here, not only in a benchmark run
+    ops, _ = workload.WORKLOADS[name](1, str(tmp_path))
+    op = next(op for op in ops if op.name == operation)
+    assert op.check(op.run()) == []

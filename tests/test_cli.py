@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nearproj.cli import main, parse_study_config, run_table
-from nearproj.errors import ConfigError
+from nearproj import cli
+from nearproj.cli import _format_table, _report, main, parse_study_config, run_table
+from nearproj.errors import ConfigError, InvalidArgumentError
 from nearproj.study import run_regularity_study
 
 TABLE2_CONFIG = """
@@ -212,7 +215,11 @@ class TestCmdStudy:
 
 
 @pytest.mark.parametrize("command", ["table", "study"])
-def test_unwritable_csv_is_usage_error(tmp_path, capsys, command):
+def test_unwritable_csv_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    def never_run(cfg):
+        raise AssertionError("the path is opened before the run; no level may run")
+
+    monkeypatch.setattr(cli, "run_projection_study", never_run)
     config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
     argv = ["table", "1"] if command == "table" else ["study", config]
     csv = str(tmp_path / "missing" / "t.csv")
@@ -220,6 +227,37 @@ def test_unwritable_csv_is_usage_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and csv in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["table", "study"])
+def test_failed_run_keeps_existing_csv(tmp_path, capsys, monkeypatch, command):
+    def fail(cfg):
+        raise InvalidArgumentError("the run failed")
+
+    monkeypatch.setattr(cli, "run_projection_study", fail)
+    config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
+    argv = ["table", "1"] if command == "table" else ["study", config]
+    csv = tmp_path / "t.csv"
+    csv.write_text("level,h_ratio\n0,1\n")
+    assert main([*argv, "--quiet", "--csv", str(csv)]) == 2
+    assert csv.read_text() == "level,h_ratio\n0,1\n"
+
+
+def test_csv_replaces_an_existing_file(tmp_path, capsys):
+    config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
+    fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+    stale.write_text("stale\n" * 100)
+    for csv in (fresh, stale):
+        assert main(["study", config, "--quiet", "--csv", str(csv)]) == 0
+    assert stale.read_text() == fresh.read_text()
+
+
+def test_result_flags_print_as_notes():
+    result = run_regularity_study(3, 2)
+    flagged = replace(result, flags=("non-monotone norm values for L2",))
+    columns = [("L2", flagged, spec) for spec in result.config.norms[:1]]
+    lines = _format_table(_report("t", columns, notes=["own note"])).splitlines()
+    assert lines[-2:] == ["note: non-monotone norm values for L2", "own note"]
 
 
 class TestCmdPredict:

@@ -211,15 +211,3 @@ class TestGammaScaling:
         assert min(consts) > 0
         assert max(consts) / min(consts) <= 2.0
 
-
-class TestExport:
-    def test_interval_golden(self):
-        got = build_uniform_interval(2).to_text()
-        assert got == "1 3 2\n0\n0.5\n1\n0 1\n1 2\n0 2\n"
-
-    def test_roundtrip_2d(self):
-        m = build_uniform_square(3)
-        back = Mesh.from_text(m.to_text())
-        assert np.array_equal(back.nodes, m.nodes)
-        assert np.array_equal(back.elements, m.elements)
-        assert back.boundary_nodes == m.boundary_nodes

@@ -283,12 +283,3 @@ class TestIntersectionProject:
         with pytest.raises(InvalidArgumentError):
             intersection_project(pair1d8, f, other_space=other)
 
-
-def test_fefunction_export_roundtrip(mesh1d8, rng):
-    s = build_space(mesh1d8, 2, dirichlet=True)
-    f = random_fe_function(s, rng)
-    text = f.to_text()
-    lines = text.strip().splitlines()
-    assert int(lines[0]) == s.n_dofs
-    back = np.array([float(t) for t in lines[1:]])
-    assert np.array_equal(back, f.coeffs)

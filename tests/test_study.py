@@ -191,5 +191,6 @@ class TestPerturbedFormStudy:
 
 def test_exports_name_no_deleted_symbol():
     assert all(hasattr(nearproj, name) for name in nearproj.__all__)
-    assert not {"run_perturbed_form_study", "REGULARITY_L2_RATE",
-                "REGULARITY_H1_RATE"} & (set(nearproj.__all__) | set(vars(nearproj.study)))
+    assert not {"run_perturbed_form_study", "REGULARITY_L2_RATE", "REGULARITY_H1_RATE",
+                "seminorm_exact"} & (set(nearproj.__all__) | set(vars(nearproj.study))
+                                     | set(vars(nearproj.norms)))
