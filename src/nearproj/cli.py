@@ -7,6 +7,7 @@ Exit status: 0 all golden checks pass, 1 a golden check failed, 2 usage error.
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -36,8 +37,8 @@ class Report:
 
 def _report(title, columns, checks=(), notes=()):
     """The Report of `(label, StudyResult, NormSpec)` columns: one row per
-    level, the predicted orders, and the results' flags as notes ahead of
-    `notes`."""
+    level, the predicted orders, and the flags of each column's norm as notes
+    that name the column, ahead of `notes`."""
     rows = []
     for lev, first in enumerate(columns[0][1].rows):
         row = {"level": first.level, "h_ratio": first.h_ratio}
@@ -46,8 +47,8 @@ def _report(title, columns, checks=(), notes=()):
             row[label] = r.norm_values[spec]
             row[label + ":order"] = r.orders.get(spec)
         rows.append(row)
-    results = {id(result): result for _, result, _ in columns}.values()
-    flags = [f"note: {flag}" for result in results for flag in result.flags]
+    flags = [f"note: {what} for {label}" for label, result, spec in columns
+             for flagged, what in result.flags if flagged == spec]
     return Report(title, rows, [label for label, _, _ in columns],
                   {label: result.predicted_orders[spec] for label, result, spec in columns},
                   tuple(checks), (*flags, *notes))
@@ -223,11 +224,25 @@ def _format_table(report):
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
 def _open_csv(args):
     """The --csv file, opened before the run so that an unwritable path fails
-    at once; appending leaves an existing file as it was until the report is
-    written."""
-    return open(args.csv, "a", newline="\n") if args.csv else contextlib.nullcontext()
+    at once.  Appending leaves an existing file as it was until the report is
+    written; a file that the open created is removed if the run fails."""
+    if not args.csv:
+        yield None
+        return
+    try:
+        fh, created = open(args.csv, "x", newline="\n"), True
+    except FileExistsError:
+        fh, created = open(args.csv, "a", newline="\n"), False
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(args.csv)
+        raise
 
 
 def _write_csv(report, fh):

@@ -140,14 +140,20 @@ def _local_matrices(space, form, rule, V, G):
 
 
 def _scatter(space, local):
+    """Sum the element matrices into a CSC matrix over the free DOFs, numbered
+    in the order of `space.free_dofs`; constrained entries are dropped."""
     nloc = space.n_local
-    conn = space.element_dofs
+    index = np.full(space.n_dofs, -1, dtype=np.int32)
+    index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)
+    conn = index[space.element_dofs]
     rows = np.repeat(conn, nloc, axis=1).ravel()
     cols = np.tile(conn, (1, nloc)).ravel()
-    mat = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
-                                  shape=(space.n_dofs, space.n_dofs)).tocsr()
-    free = space.free_dofs
-    return mat[free][:, free].tocsr()
+    keep = (rows >= 0) & (cols >= 0)
+    # one compressed copy at a time keeps the peak of the scatter low
+    rows = rows[keep]
+    cols = cols[keep]
+    return scipy.sparse.coo_matrix((local.ravel()[keep], (rows, cols)),
+                                   shape=(space.n_free, space.n_free)).tocsc()
 
 
 def assemble_matrix(space, form):

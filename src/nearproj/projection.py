@@ -9,11 +9,12 @@ from .space import FeFunction
 
 def project(space, form, u):
     """Orthogonal projection of u onto the space with respect to the form,
-    by one sparse LU.  Minimum-degree ordering on A + A^T keeps the fill and
-    peak memory of the 2-D P2 systems below those of the default COLAMD."""
+    by one sparse LU.  The system comes out of assembly in the
+    nested-dissection order of `space.free_dofs`, so SuperLU factorises it
+    in that order (NATURAL) without a column ordering of its own."""
     A = assemble_matrix(space, form)
     b = assemble_load(space, form, u)
     coeffs = np.zeros(space.n_dofs)
     coeffs[space.free_dofs] = scipy.sparse.linalg.splu(
-        A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+        A, permc_spec="NATURAL").solve(b)
     return FeFunction(space, coeffs)

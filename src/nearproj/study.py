@@ -185,7 +185,7 @@ class StudyResult:
     config: StudyConfig
     rows: tuple
     predicted_orders: dict
-    flags: tuple = ()
+    flags: tuple = ()           # (NormSpec, what was seen in its values)
 
 
 def predicted_order_for_norm(spec, rate_inputs):
@@ -246,7 +246,7 @@ def run_projection_study(cfg):
     for spec in cfg.norms:
         vals = values[spec]
         if any(b >= a for a, b in zip(vals, vals[1:])):
-            flags.append(f"non-monotone norm values for {spec}")
+            flags.append((spec, "non-monotone norm values"))
     predicted = {spec: predicted_order_for_norm(spec, cfg.rate_inputs)
                  for spec in cfg.norms}
     return StudyResult(cfg, tuple(rows), predicted, tuple(flags))

@@ -243,6 +243,27 @@ def test_failed_run_keeps_existing_csv(tmp_path, capsys, monkeypatch, command):
     assert csv.read_text() == "level,h_ratio\n0,1\n"
 
 
+@pytest.mark.parametrize("command", ["table", "study", "table 99"])
+def test_failed_run_removes_the_csv_it_created(tmp_path, capsys, monkeypatch, command):
+    def fail(cfg):
+        raise InvalidArgumentError("the run failed")
+
+    monkeypatch.setattr(cli, "run_projection_study", fail)
+    config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
+    argv = {"table": ["table", "1"], "study": ["study", config],
+            "table 99": ["table", "99"]}[command]
+    csv = tmp_path / "t.csv"
+    assert main([*argv, "--quiet", "--csv", str(csv)]) == 2
+    assert not csv.exists()
+
+
+def test_unknown_table_keeps_existing_csv_byte_for_byte(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_bytes(b"level,h_ratio\r\n0,1\n")
+    assert main(["table", "99", "--quiet", "--csv", str(csv)]) == 2
+    assert csv.read_bytes() == b"level,h_ratio\r\n0,1\n"
+
+
 def test_csv_replaces_an_existing_file(tmp_path, capsys):
     config = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2"))
     fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
@@ -254,10 +275,22 @@ def test_csv_replaces_an_existing_file(tmp_path, capsys):
 
 def test_result_flags_print_as_notes():
     result = run_regularity_study(3, 2)
-    flagged = replace(result, flags=("non-monotone norm values for L2",))
-    columns = [("L2", flagged, spec) for spec in result.config.norms[:1]]
+    spec = result.config.norms[0]
+    flagged = replace(result, flags=((spec, "non-monotone norm values"),))
+    columns = [("L2", flagged, spec)]
     lines = _format_table(_report("t", columns, notes=["own note"])).splitlines()
     assert lines[-2:] == ["note: non-monotone norm values for L2", "own note"]
+
+
+def test_non_monotone_note_names_the_column(tmp_path, capsys):
+    # identical meshes leave only rounding in the values, which need not fall
+    text = TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0\ndelta = inf")
+    text = text.replace("levels = 6", "levels = 3").replace("norms = 1:2", "norms = 1:2,0:2")
+    assert main(["study", write(tmp_path, text)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("note:")]
+    assert notes == ["note: non-monotone norm values for norm_1_2",
+                     "note: non-monotone norm values for norm_0_2"]
 
 
 class TestCmdPredict:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from nearproj import (BilinearFormSpec, FeFunction, FunctionSpec, MASS, NormSpec,
                       STIFFNESS, assemble_load, assemble_matrix, build_space,
@@ -89,3 +90,26 @@ class TestProject:
         dense = np.linalg.solve(A.toarray(), b)
         c = project(s, form, sin2d).coeffs[s.free_dofs]
         assert np.abs(c - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestFill:
+    """The LU of an assembled system in the order of `free_dofs` (no column
+    ordering of SuperLU's own) stays within the fill of nested dissection:
+    a count that does not depend on the machine."""
+
+    @staticmethod
+    def _lu_nonzeros(mesh, degree):
+        A = assemble_matrix(build_space(mesh, degree, dirichlet=True), STIFFNESS)
+        lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
+        return lu.L.nnz + lu.U.nnz, A.shape[0]
+
+    # at n = 100 the bisection meets groups of odd width, where a split at the
+    # median rank instead of the mean gives 5.15M
+    @pytest.mark.parametrize("n,bound", [(128, 6.5e6), (100, 4.8e6)])
+    def test_2d_p2_stiffness(self, n, bound):
+        nnz, _ = self._lu_nonzeros(build_uniform_square(n), 2)
+        assert nnz <= bound
+
+    def test_1d_p2_stiffness_is_a_band(self):
+        nnz, n_free = self._lu_nonzeros(build_uniform_interval(4096), 2)
+        assert nnz <= 5 * n_free

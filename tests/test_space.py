@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nearproj import (FeFunction, FunctionSpec, InvalidArgumentError,
-                      OutOfDomainError, build_space, build_uniform_interval,
+                      OutOfDomainError, PerturbationSpec, build_space, build_uniform_interval,
                       build_uniform_square, classify_pair, evaluate,
                       interpolate_nodal, intersection_project,
                       perturb_boundary_band, perturb_node_nearest)
@@ -283,3 +283,47 @@ class TestIntersectionProject:
         with pytest.raises(InvalidArgumentError):
             intersection_project(pair1d8, f, other_space=other)
 
+
+
+class TestDissectionOrder:
+    """`free_dofs` lists the free DOFs in the nested-dissection order that
+    every assembled system and its LU follow."""
+
+    @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_permutes_the_free_dofs(self, dim, degree, rng):
+        s = build_space(jittered_mesh(dim, rng), degree, dirichlet=True)
+        assert np.array_equal(np.sort(s.free_dofs), np.flatnonzero(~s.dirichlet_mask))
+        s = build_space(build_uniform_square(32), degree, dirichlet=False)
+        assert np.array_equal(np.sort(s.free_dofs), np.arange(s.n_dofs))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_1d_is_coordinate_order(self, degree, rng):
+        for mesh in (build_uniform_interval(64), jittered_mesh(1, rng)):
+            s = build_space(mesh, degree, dirichlet=True)
+            assert np.all(np.diff(s.dof_coords[s.free_dofs, 0]) > 0)
+
+    @staticmethod
+    def _assert_pairs_share_order(perturbations, dimension, degree, ns):
+        build = build_uniform_interval if dimension == 1 else build_uniform_square
+        for n in ns:
+            mesh = build(n)
+            own = build_space(mesh, degree, dirichlet=True).free_dofs
+            for pert in perturbations:
+                other = build_space(pert.apply(mesh), degree, dirichlet=True)
+                assert np.array_equal(own, other.free_dofs), (pert, degree, n)
+
+    def test_single_node_pairs_share_order(self):
+        # the 25 coarse nodes in [1/8, 3/8]^2 that a single-node study moves
+        perts = [PerturbationSpec("single-node", point=(i / 16, j / 16), fraction=0.25)
+                 for i in range(2, 7) for j in range(2, 7)]
+        self._assert_pairs_share_order(perts, 2, 2, (16, 32, 64, 128))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_boundary_band_pairs_share_order(self, degree):
+        pert = PerturbationSpec("boundary-band", fraction=0.25)
+        self._assert_pairs_share_order([pert], 2, degree, (8, 16, 32, 64, 128, 256))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_1d_single_node_pair_shares_order(self, degree):
+        pert = PerturbationSpec("single-node", point=(0.25,), fraction=0.25)
+        self._assert_pairs_share_order([pert], 1, degree, (8, 64, 1024))
