@@ -80,14 +80,6 @@ class BilinearFormSpec:
             return self.base.s
         return 1
 
-    @property
-    def needs_gradient(self):
-        if self.kind == "mass":
-            return False
-        if self.kind == "perturbed":
-            return self.base.needs_gradient
-        return True
-
 
 MASS = BilinearFormSpec("mass")
 STIFFNESS = BilinearFormSpec("stiffness")
@@ -176,7 +168,7 @@ def assemble_load(space, form, u):
         if not math.isinf(form.delta):
             b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
         return b
-    if form.needs_gradient and u.gradient is None:
+    if form.s == 1 and u.gradient is None:
         raise InvalidArgumentError(
             f"form kind {form.kind!r} requires a gradient for the projected function")
     mesh = space.mesh

@@ -2,11 +2,12 @@
 
 Meshes are immutable after construction: the coordinate and connectivity
 arrays are write-protected, and every operation returns a new mesh.  A mesh
-pair overlays its differing region once, on first use: interval
-intersections in 1-D, fan triangles of clipped polygons in 2-D.
+pair is a mesh and a copy of it with some nodes moved, so the two share one
+element array and are matched by index: element k is shared when none of its
+nodes moved.  A pair overlays its differing region once, on first use:
+interval intersections in 1-D, fan triangles of clipped polygons in 2-D.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,7 +17,6 @@ from .errors import DegenerateMeshError, GeometryError, InvalidArgumentError
 
 COORD_TOL = 1e-14          # per-coordinate tolerance for "identical point"
 MEASURE_TOL = 1e-12
-KEY_SCALE = 1e9            # points are keyed by their coordinates rounded to 1e-9
 BOX_TOL = 1e-13            # bounding boxes this close count as overlapping
 CLIP_VERTEX_TOL = 1e-12
 # Clipping a convex polygon by a half-plane adds at most one vertex, so a
@@ -178,7 +178,8 @@ def perturb_boundary_band(mesh, band_distance, displacement):
 
 @dataclass(frozen=True)
 class MeshPair:
-    """Two meshes of the same domain with their shared/differing classification."""
+    """A mesh and a copy with moved nodes, with their shared/differing
+    classification."""
 
     mesh_a: Mesh
     mesh_b: Mesh
@@ -191,10 +192,6 @@ class MeshPair:
     def shared_mask_a(self):
         return self.match >= 0
 
-    @property
-    def shared_mask_b(self):
-        return np.isin(np.arange(self.mesh_b.n_elements), self.match)
-
     @cached_property
     def shared_elements(self):
         """frozenset of (index_in_a, index_in_b) for the shared elements."""
@@ -204,83 +201,38 @@ class MeshPair:
     def differing_elements_a(self):
         return np.where(~self.shared_mask_a)[0]
 
-    def differing_elements_b(self):
-        return np.where(~self.shared_mask_b)[0]
-
     @cached_property
     def fragments(self):
         """Overlay of the differing region, built once per pair: see _fragments."""
-        out = _fragments(self.mesh_a, self.differing_elements_a(),
-                         self.mesh_b, self.differing_elements_b())
+        dia = self.differing_elements_a()
+        out = _fragments(self.mesh_a, dia, self.mesh_b, dia)
         for arr in out[:3]:
             arr.setflags(write=False)
         return out
 
 
-def row_keys(rows, base):
-    """One int64 key per row of integers in [0, base), ordered as the rows
-    are lexicographically.  The key is exact while base^(row length) < 2^63:
-    for element rows of node ids, (n_nodes + 1)^(d + 1) < 2^63."""
-    if base ** rows.shape[1] >= 2 ** 63:
-        raise InvalidArgumentError(
-            f"{rows.shape[1]} integers below {base} do not fit one int64 key")
-    key = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        key = key * base + column
-    return key
-
-
-def match_points(x, y):
-    """Index of the row of y at the same point as each row of x, or -1.
-
-    Rows are keyed by their coordinates rounded to 1e-9.  A point within
-    COORD_TOL of a rounding boundary can round to a neighbouring key, so the
-    3^d keys around each point of x are probed, and a match is confirmed when
-    every coordinate agrees to within COORD_TOL.
-    """
-    kx = np.round(x * KEY_SCALE).astype(np.int64)
-    ky = np.round(y * KEY_SCALE).astype(np.int64)
-    lo = np.minimum(kx.min(axis=0), ky.min(axis=0)) - 1
-    dims = tuple(np.maximum(kx.max(axis=0), ky.max(axis=0)) - lo + 2)
-    flat_y = np.ravel_multi_index((ky - lo).T, dims)
-    order = np.argsort(flat_y)
-    sorted_y = flat_y[order]
-    out = np.full(len(x), -1, dtype=np.int64)
-    for offset in itertools.product((-1, 0, 1), repeat=x.shape[1]):
-        todo = np.flatnonzero(out < 0)
-        flat = np.ravel_multi_index((kx[todo] + offset - lo).T, dims)
-        pos = np.minimum(np.searchsorted(sorted_y, flat), len(sorted_y) - 1)
-        cand = order[pos]
-        hit = (sorted_y[pos] == flat) & np.all(np.abs(x[todo] - y[cand]) <= COORD_TOL,
-                                               axis=1)
-        out[todo[hit]] = cand[hit]
-    return out
-
-
 def classify_pair(a, b, gamma_nominal):
-    """Match geometrically identical elements of two meshes of the same domain.
+    """Match the elements of a mesh and a copy of it with some nodes moved.
 
-    Nodes are identical when their coordinates agree to within 1e-14 per
-    coordinate, and elements when they have the same identical nodes.  The
-    differing-region measure is the domain measure minus the measure of the
-    shared elements.
+    Both meshes must have the same element array and the same number of
+    nodes, so node k and element k of one are node k and element k of the
+    other.  A node is unmoved when its coordinates agree to within COORD_TOL
+    per coordinate, and an element is shared when all its nodes are unmoved.
+    The differing-region measure is the domain measure minus the measure of
+    the shared elements.
     """
     if a.dimension != b.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
-    # an element is a sorted row of node ids in b, shifted by one so that an
-    # unmatched node is 0; rows with the same key are the same element
-    rows = np.sort(np.concatenate([match_points(a.nodes, b.nodes)[a.elements],
-                                   b.elements]), axis=1) + 1
-    _, row_id = np.unique(row_keys(rows, b.n_nodes + 1), return_inverse=True)
-    element_in_b = np.full(row_id.max() + 1, -1, dtype=np.int64)
-    element_in_b[row_id[a.n_elements:]] = np.arange(b.n_elements)
-    match = element_in_b[row_id[:a.n_elements]]
+    if a.n_nodes != b.n_nodes or not np.array_equal(a.elements, b.elements):
+        raise InvalidArgumentError(
+            "meshes of a pair must have as many nodes and the same element array")
+    unmoved = np.all(np.abs(a.nodes - b.nodes) <= COORD_TOL, axis=1)
+    shared = unmoved[a.elements].all(axis=1)
+    match = np.where(shared, np.arange(a.n_elements), -1)
     match.setflags(write=False)
 
-    shared = match >= 0
     diff_a = a.domain_measure - float(a.element_measures[shared].sum())
-    # the shared elements of b in their own order
-    diff_b = b.domain_measure - float(b.element_measures[np.sort(match[shared])].sum())
+    diff_b = b.domain_measure - float(b.element_measures[shared].sum())
     if abs(diff_a - diff_b) > MEASURE_TOL:
         raise GeometryError(
             f"differing-region measure disagrees between meshes: {diff_a} vs {diff_b}")

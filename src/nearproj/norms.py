@@ -5,10 +5,12 @@ Finite-integrability norms combine derivative components as
 is a sampled supremum over fixed per-element grids (25 points per interval,
 45 per triangle) and is used only in diagnostics.
 
-Differences of FE functions on a mesh pair are integrated exactly: shared
-elements carry a single polynomial difference; the differing region is
-overlaid by simplices that each lie in one element of either mesh (the
-pair's `fragments`), and the difference is integrated on all of them at once.
+Differences of FE functions on a mesh pair are integrated exactly.  The two
+spaces of a pair share their element array, so on a shared element the
+difference is one polynomial, with coefficients f_a - f_b, evaluated at the
+reference points.  The differing region is overlaid by simplices that each
+lie in one element of either mesh (the pair's `fragments`), and there the
+difference is integrated on all of them at once.
 """
 
 import math
@@ -147,13 +149,13 @@ def cross_mesh_norm(diff, spec):
     need_grad = spec.s == 1
     rule = quadrature_rule(mesh_a.dimension, 2 * sa.degree)
 
+    # a shared element has the same DOFs in both spaces: one polynomial
     elems = _elements(spec, mesh_a)
     ia = elems[pair.match[elems] >= 0]
-    pts = physical_points(mesh_a.element_vertices[ia], rule.points)
-    va, ga = eval_on_elements(sa, f_a.coeffs, ia, rule.points, gradients=need_grad)
-    vb, gb = eval_at_physical(sb, f_b.coeffs, pair.match[ia], pts, gradients=need_grad)
-    parts = [va - vb] if ga is None else [va - vb, ga - gb]
-    shared = _integral(parts, 2, rule.weights, mesh_a.jacobian_dets[ia])
+    v, g = eval_on_elements(sa, f_a.coeffs - f_b.coeffs, ia, rule.points,
+                            gradients=need_grad)
+    shared = _integral([v] if g is None else [v, g], 2, rule.weights,
+                       mesh_a.jacobian_dets[ia])
 
     simplices, ia, ib, covered = pair.fragments
     if spec.region is not None:

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfDomainError
-from .mesh import match_points, row_keys
 
 BARY_TOL = 1e-12
 # elements per group at which nested dissection stops splitting
@@ -126,13 +125,14 @@ class FeSpace:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.nodes.copy()
         else:
-            # one row per (element, local edge), element-major; np.unique
-            # numbers equal rows alike, and ranking the numbers by first row
-            # numbers the edges in the order the elements meet them
+            # one row per (element, local edge), element-major, keyed by its
+            # sorted end nodes; np.unique numbers equal rows alike, and ranking
+            # the numbers by first row numbers the edges in the order the
+            # elements meet them
             ends = np.sort(mesh.elements[:, _EDGES[mesh.dimension]], axis=2)
             ends = ends.reshape(-1, 2)
-            _, first, inverse = np.unique(row_keys(ends, nn), return_index=True,
-                                          return_inverse=True)
+            _, first, inverse = np.unique(ends[:, 0] * nn + ends[:, 1],
+                                          return_index=True, return_inverse=True)
             rank = np.empty_like(first)
             rank[np.argsort(first)] = np.arange(first.size)
             edges = ends[np.sort(first)]
@@ -264,22 +264,13 @@ def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
     return vals, _reference_grads(space, c, lam) @ Jinv
 
 
-def shared_dof_mask(pair, space, other):
-    """DOFs of `space` whose shape function is common to both spaces.
-
-    A DOF is shared iff a DOF at the identical coordinate exists in the other
-    space and every element in its support (on both sides) is a shared element.
+def shared_dof_mask(pair, space):
+    """DOFs of `space` whose shape function is common to both spaces of the
+    pair: those that no differing element touches.  The two spaces share
+    their element array, so DOF k of one is DOF k of the other.
     """
-    on_a = space.mesh is pair.mesh_a
-    mask_own = pair.shared_mask_a if on_a else pair.shared_mask_b
-    mask_other = pair.shared_mask_b if on_a else pair.shared_mask_a
-    match = match_points(space.dof_coords, other.dof_coords)
-    on_differing = np.zeros(space.n_dofs, dtype=bool)
-    on_differing[space.element_dofs[~mask_own]] = True
-    other_on_differing = np.zeros(other.n_dofs, dtype=bool)
-    other_on_differing[other.element_dofs[~mask_other]] = True
-    out = (match >= 0) & ~on_differing
-    out[out] = ~other_on_differing[match[out]]
+    out = np.ones(space.n_dofs, dtype=bool)
+    out[space.element_dofs[~pair.shared_mask_a]] = False
     return out
 
 
@@ -288,17 +279,12 @@ def intersection_project(pair, f, other_space=None):
 
     `f` must live on a space over pair.mesh_a or pair.mesh_b; the result is
     representable in both spaces and is returned on f's own space.
+    `other_space`, if given, must have f's degree.
     """
     space = f.space
-    if space.mesh is pair.mesh_a:
-        other_mesh = pair.mesh_b
-    elif space.mesh is pair.mesh_b:
-        other_mesh = pair.mesh_a
-    else:
+    if space.mesh is not pair.mesh_a and space.mesh is not pair.mesh_b:
         raise InvalidArgumentError("function does not live on either mesh of the pair")
-    if other_space is None:
-        other_space = FeSpace(other_mesh, space.degree, space.dirichlet)
-    elif other_space.degree != space.degree:
+    if other_space is not None and other_space.degree != space.degree:
         raise InvalidArgumentError("spaces of a pair must share the polynomial degree")
-    keep = shared_dof_mask(pair, space, other_space)
+    keep = shared_dof_mask(pair, space)
     return FeFunction(space, np.where(keep, f.coeffs, 0.0))

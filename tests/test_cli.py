@@ -282,15 +282,29 @@ def test_result_flags_print_as_notes():
     assert lines[-2:] == ["note: non-monotone norm values for L2", "own note"]
 
 
+ZERO_FRACTION_CONFIG = (TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0\ndelta = inf")
+                        .replace("levels = 6", "levels = 3")
+                        .replace("norms = 1:2", "norms = 1:2,0:2"))
+
+
 def test_non_monotone_note_names_the_column(tmp_path, capsys):
-    # identical meshes leave only rounding in the values, which need not fall
-    text = TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0\ndelta = inf")
-    text = text.replace("levels = 6", "levels = 3").replace("norms = 1:2", "norms = 1:2,0:2")
-    assert main(["study", write(tmp_path, text)]) == 0
+    # identical meshes give values of exactly 0, which do not fall
+    assert main(["study", write(tmp_path, ZERO_FRACTION_CONFIG)]) == 0
     notes = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("note:")]
     assert notes == ["note: non-monotone norm values for norm_1_2",
                      "note: non-monotone norm values for norm_0_2"]
+
+
+def test_identical_meshes_print_zero_and_no_order(tmp_path, capsys):
+    # both projections are bitwise equal, so every cross norm is exactly 0
+    # and no order is computed from it
+    assert main(["study", write(tmp_path, ZERO_FRACTION_CONFIG)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:5]]
+    assert [row[0] for row in rows] == ["1", "2", "4"]
+    for row in rows:
+        assert row[1:] == ["0.0000e+00", "-", "0.0000e+00", "-"]
 
 
 class TestCmdPredict:

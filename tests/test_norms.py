@@ -74,6 +74,17 @@ class TestCrossMeshNorm:
         d = CrossMeshDiff(f, g, pair)
         assert cross_mesh_norm(d, NormSpec(0, 2)) <= 1e-15
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_projection_against_itself_is_exactly_zero(self, dim, sin1d, sin2d):
+        # the same projection on both sides of an identical pair: every
+        # coefficient difference is 0, so the norm is 0, not rounding noise
+        m = build_uniform_interval(8) if dim == 1 else build_uniform_square(4)
+        pair = classify_pair(m, m, float(dim))
+        f = project(build_space(m, 2, dirichlet=True), STIFFNESS,
+                    sin1d if dim == 1 else sin2d)
+        for s in (0, 1):
+            assert cross_mesh_norm(CrossMeshDiff(f, f, pair), NormSpec(s, 2)) == 0.0
+
     def test_1d_hat_closed_form(self, pair1d8):
         # hat at the moved node of the perturbed grid vs zero on the uniform one:
         # integral of hat^2 over intervals of lengths l1, l2 is (l1 + l2)/3
@@ -290,7 +301,7 @@ class TestSupportMeasure:
         from nearproj.space import shared_dof_mask
         s = build_space(pair1d8.mesh_a, 1, dirichlet=True)
         other = build_space(pair1d8.mesh_b, 1, dirichlet=True)
-        keep = shared_dof_mask(pair1d8, s, other)
+        keep = shared_dof_mask(pair1d8, s)
         halo = np.isin(s.element_dofs, np.where(~keep)[0]).any(axis=1)
         halo_measure = pair1d8.mesh_a.element_measures[halo].sum()
         for _ in range(20):
@@ -385,35 +396,49 @@ def _component_oracle(f, k, eta):
     return out
 
 
-def _cross_oracle(diff, spec):
-    """cross_mesh_norm as one running sum of squares over both passes."""
+def _cross_oracle(diff, spec, per_side=False):
+    """cross_mesh_norm as one running sum of squares over both passes.
+
+    On shared elements it evaluates the one polynomial with coefficients
+    f_a - f_b; with `per_side`, it instead evaluates f_a at the reference
+    points and f_b at their physical images, and subtracts.
+    """
     f_a, f_b, pair = diff.f_a, diff.f_b, diff.pair
     grad = spec.s == 1
     rule = quadrature_rule(pair.mesh_a.dimension, 2 * f_a.space.degree)
 
-    def squares(va, ga, vb, gb, det):
-        total = np.einsum("kq,q,k->", (va - vb) ** 2, rule.weights, det)
+    def squares(v, g, det):
+        total = np.einsum("kq,q,k->", v ** 2, rule.weights, det)
         if grad:
-            total += np.einsum("kqd,q,k->", (ga - gb) ** 2, rule.weights, det)
+            total += np.einsum("kqd,q,k->", g ** 2, rule.weights, det)
         return total
+
+    def difference(va, ga, vb, gb):
+        return va - vb, None if ga is None else ga - gb
 
     region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
     ia = np.flatnonzero(pair.match >= 0)
     if region is not None:
         ia = ia[np.isin(ia, region)]
-    pts = physical_points(pair.mesh_a.element_vertices[ia], rule.points)
-    va, ga = eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, gradients=grad)
-    vb, gb = eval_at_physical(f_b.space, f_b.coeffs, pair.match[ia], pts, gradients=grad)
-    total = squares(va, ga, vb, gb, pair.mesh_a.jacobian_dets[ia])
+    if per_side:
+        pts = physical_points(pair.mesh_a.element_vertices[ia], rule.points)
+        v, g = difference(
+            *eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, gradients=grad),
+            *eval_at_physical(f_b.space, f_b.coeffs, pair.match[ia], pts, gradients=grad))
+    else:
+        v, g = eval_on_elements(f_a.space, f_a.coeffs - f_b.coeffs, ia, rule.points,
+                                gradients=grad)
+    total = squares(v, g, pair.mesh_a.jacobian_dets[ia])
     simplices, ia, ib, _ = pair.fragments
     if region is not None:
         keep = np.isin(ia, region)
         simplices, ia, ib = simplices[keep], ia[keep], ib[keep]
     pts = physical_points(simplices, rule.points)
-    va, ga = eval_at_physical(f_a.space, f_a.coeffs, ia, pts, gradients=grad)
-    vb, gb = eval_at_physical(f_b.space, f_b.coeffs, ib, pts, gradients=grad)
+    v, g = difference(
+        *eval_at_physical(f_a.space, f_a.coeffs, ia, pts, gradients=grad),
+        *eval_at_physical(f_b.space, f_b.coeffs, ib, pts, gradients=grad))
     det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
-    total += squares(va, ga, vb, gb, det)
+    total += squares(v, g, det)
     return float(np.sqrt(total))
 
 
@@ -454,7 +479,12 @@ class TestNormOracle:
             assert len(pair.fragments[0]) == 0
         for region in (None, frozenset(range(0, pair.mesh_a.n_elements, 2))):
             spec = NormSpec(s, 2, region=region)
-            assert cross_mesh_norm(diff, spec) == _cross_oracle(diff, spec)
+            value = cross_mesh_norm(diff, spec)
+            assert value == _cross_oracle(diff, spec)
+            # each side evaluated on its own mesh, then subtracted: the same
+            # norm up to rounding
+            assert value == pytest.approx(_cross_oracle(diff, spec, per_side=True),
+                                          rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("region", [{-1}, {8}, {100}, {0.5}, {0, 2.0}, {"0"}],
