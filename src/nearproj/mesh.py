@@ -183,23 +183,18 @@ class MeshPair:
 
     mesh_a: Mesh
     mesh_b: Mesh
-    # the element of b at each element of a, or -1 where they differ
-    match: np.ndarray = field(repr=False, compare=False)
+    # element k is shared: none of its nodes moved (write-protected)
+    shared: np.ndarray = field(repr=False, compare=False)
     differing_region_measure: float
     gamma_nominal: float
-
-    @property
-    def shared_mask_a(self):
-        return self.match >= 0
 
     @cached_property
     def shared_elements(self):
         """frozenset of (index_in_a, index_in_b) for the shared elements."""
-        ia = np.flatnonzero(self.shared_mask_a)
-        return frozenset(zip(ia.tolist(), self.match[ia].tolist()))
+        return frozenset((k, k) for k in np.flatnonzero(self.shared).tolist())
 
     def differing_elements_a(self):
-        return np.where(~self.shared_mask_a)[0]
+        return np.flatnonzero(~self.shared)
 
     @cached_property
     def fragments(self):
@@ -228,15 +223,14 @@ def classify_pair(a, b, gamma_nominal):
             "meshes of a pair must have as many nodes and the same element array")
     unmoved = np.all(np.abs(a.nodes - b.nodes) <= COORD_TOL, axis=1)
     shared = unmoved[a.elements].all(axis=1)
-    match = np.where(shared, np.arange(a.n_elements), -1)
-    match.setflags(write=False)
+    shared.setflags(write=False)
 
     diff_a = a.domain_measure - float(a.element_measures[shared].sum())
     diff_b = b.domain_measure - float(b.element_measures[shared].sum())
     if abs(diff_a - diff_b) > MEASURE_TOL:
         raise GeometryError(
             f"differing-region measure disagrees between meshes: {diff_a} vs {diff_b}")
-    return MeshPair(a, b, match, diff_a, float(gamma_nominal))
+    return MeshPair(a, b, shared, diff_a, float(gamma_nominal))
 
 
 # -- the overlay of the differing region --------------------------------------

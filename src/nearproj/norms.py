@@ -151,7 +151,7 @@ def cross_mesh_norm(diff, spec):
 
     # a shared element has the same DOFs in both spaces: one polynomial
     elems = _elements(spec, mesh_a)
-    ia = elems[pair.match[elems] >= 0]
+    ia = elems[pair.shared[elems]]
     v, g = eval_on_elements(sa, f_a.coeffs - f_b.coeffs, ia, rule.points,
                             gradients=need_grad)
     shared = _integral([v] if g is None else [v, g], 2, rule.weights,

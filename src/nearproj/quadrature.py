@@ -2,10 +2,12 @@
 
 The reference triangle is {(x,y) : x >= 0, y >= 0, x + y <= 1}.  Triangle
 rules are conical products (Gauss-Jacobi in the collapsed direction), which
-keeps every weight positive at any exactness degree.
+keeps every weight positive at any exactness degree.  Each rule is built once
+and shared, so its arrays are write-protected.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -21,12 +23,17 @@ class QuadratureRule:
     points: np.ndarray        # (nq, dim), reference coordinates
     weights: np.ndarray       # (nq,), positive, sum to reference measure
 
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
+
 
 def _gauss01(m):
     x, w = roots_legendre(m)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@cache
 def quadrature_rule(dimension, exactness_degree):
     """Return a rule integrating polynomials of the given total degree exactly."""
     if exactness_degree < 0:

@@ -270,7 +270,7 @@ def shared_dof_mask(pair, space):
     their element array, so DOF k of one is DOF k of the other.
     """
     out = np.ones(space.n_dofs, dtype=bool)
-    out[space.element_dofs[~pair.shared_mask_a]] = False
+    out[space.element_dofs[~pair.shared]] = False
     return out
 
 

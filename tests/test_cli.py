@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nearproj import cli
+from nearproj import cli, study
 from nearproj.cli import _format_table, _report, main, parse_study_config, run_table
 from nearproj.errors import ConfigError, InvalidArgumentError
 from nearproj.study import run_regularity_study
@@ -229,6 +229,19 @@ def test_unwritable_csv_is_usage_error(tmp_path, capsys, monkeypatch, command):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("degree", ["0", "3"])
+def test_unsupported_degree_is_a_config_error(tmp_path, capsys, monkeypatch, degree):
+    def never_run(cfg):
+        raise AssertionError("the degree is checked before any level runs")
+
+    monkeypatch.setattr(cli, "run_projection_study", never_run)
+    path = write(tmp_path, TABLE2_CONFIG.replace("degree = 1", f"degree = {degree}"))
+    assert main(["study", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: degree must be 1 or 2, got {degree}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["table", "study"])
 def test_failed_run_keeps_existing_csv(tmp_path, capsys, monkeypatch, command):
     def fail(cfg):
@@ -287,9 +300,14 @@ ZERO_FRACTION_CONFIG = (TABLE2_CONFIG.replace("fraction = 0.25", "fraction = 0\n
                         .replace("norms = 1:2", "norms = 1:2,0:2"))
 
 
-def test_non_monotone_note_names_the_column(tmp_path, capsys):
-    # identical meshes give values of exactly 0, which do not fall
-    assert main(["study", write(tmp_path, ZERO_FRACTION_CONFIG)]) == 0
+def test_non_monotone_note_names_the_column(tmp_path, capsys, monkeypatch):
+    # norms divided by h^4 rise from level to level in both columns
+    real = study.cross_mesh_norm
+    monkeypatch.setattr(study, "cross_mesh_norm",
+                        lambda diff, spec: real(diff, spec) / diff.pair.mesh_a.h ** 4)
+    config = (TABLE2_CONFIG.replace("levels = 6", "levels = 3")
+              .replace("norms = 1:2", "norms = 1:2,0:2"))
+    assert main(["study", write(tmp_path, config)]) == 0
     notes = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("note:")]
     assert notes == ["note: non-monotone norm values for norm_1_2",
@@ -305,6 +323,8 @@ def test_identical_meshes_print_zero_and_no_order(tmp_path, capsys):
     assert [row[0] for row in rows] == ["1", "2", "4"]
     for row in rows:
         assert row[1:] == ["0.0000e+00", "-", "0.0000e+00", "-"]
+    # a column of zeros does not rise, so no non-monotone note is printed
+    assert not [line for line in lines if line.startswith("note:")]
 
 
 class TestCmdPredict:

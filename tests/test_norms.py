@@ -417,14 +417,14 @@ def _cross_oracle(diff, spec, per_side=False):
         return va - vb, None if ga is None else ga - gb
 
     region = None if spec.region is None else np.fromiter(spec.region, dtype=np.int64)
-    ia = np.flatnonzero(pair.match >= 0)
+    ia = np.flatnonzero(pair.shared)
     if region is not None:
         ia = ia[np.isin(ia, region)]
     if per_side:
         pts = physical_points(pair.mesh_a.element_vertices[ia], rule.points)
         v, g = difference(
             *eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, gradients=grad),
-            *eval_at_physical(f_b.space, f_b.coeffs, pair.match[ia], pts, gradients=grad))
+            *eval_at_physical(f_b.space, f_b.coeffs, ia, pts, gradients=grad))
     else:
         v, g = eval_on_elements(f_a.space, f_a.coeffs - f_b.coeffs, ia, rule.points,
                                 gradients=grad)

@@ -49,3 +49,12 @@ def test_2d_degree10_x4y4():
 def test_unsupported_requests_raise(dim, degree):
     with pytest.raises(InvalidArgumentError):
         quadrature_rule(dim, degree)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 4), (2, 4)])
+def test_rule_is_built_once_and_read_only(dim, degree):
+    rule = quadrature_rule(dim, degree)
+    assert quadrature_rule(dim, degree) is rule
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
