@@ -299,8 +299,9 @@ def parse_study_config(path):
     raw = {}                    # key -> (value text, line)
 
     def fail(problem, key=None, line=None):
-        """Raise a ConfigError at `line`, or at the line that sets `key`."""
-        line = raw[key][1] if key in raw else line
+        """Raise a ConfigError at `line`, or else at the line that sets `key`."""
+        if line is None and key in raw:
+            line = raw[key][1]
         raise ConfigError(f"{path}{'' if line is None else f':{line}'}: {problem}",
                           key=key, line=line)
 
@@ -317,6 +318,8 @@ def parse_study_config(path):
                      f"'nearproj predict'", key, lineno)
             if key not in _CONFIG_KEYS:
                 fail(f"unknown key {key!r}", key, lineno)
+            if key in raw:
+                fail(f"{key!r} is set twice, first at line {raw[key][1]}", key, lineno)
             raw[key] = (value, lineno)
 
     def get(key, convert=str, default=None, required=False):
@@ -335,6 +338,10 @@ def parse_study_config(path):
             fail(f"bad value for {key!r}: {exc}", key)
 
     dimension = get("dimension", _dimension, required=True)
+
+    def coordinates(text):
+        return _floats(text, dimension)
+
     degree = get("degree", int, required=True)
     levels = get("levels", int, required=True)
     n0 = get("n0", int)
@@ -344,14 +351,13 @@ def parse_study_config(path):
     if kind not in forms:
         fail(f"unknown form {kind!r}", "form")
     form = forms[kind]
-    for key, convert in (("kappa", float),
-                         ("velocity", lambda text: _floats(text, dimension))):
+    for key, convert in (("kappa", float), ("velocity", coordinates)):
         form = get(key, lambda text: replace(form, **{key: convert(text)}), form)
     # a_h^+ = a_h + h^delta * mass on mesh b
     form = get("delta", lambda text: perturbed_form(form, float(text)), form)
     try:
         pert = PerturbationSpec(get("perturbation", required=True),
-                                point=get("point", _floats),
+                                point=get("point", coordinates),
                                 fraction=get("fraction", float, 0.25))
         pert.check_dimension(dimension)
     except InvalidArgumentError as exc:

@@ -3,6 +3,11 @@
 Scalar callables follow the convention value(x) -> (N,) and gradient(x) -> (N, d)
 for x of shape (N, d).  The advection velocity of an ADR form is a constant
 vector.
+
+A load samples u at the quadrature points of every element.  It does so in
+blocks of `space.BLOCK_ELEMENTS` elements, so its memory is one block's
+samples plus one (elements, n_local) array of element vectors, whatever the
+mesh size.
 """
 
 import math
@@ -13,7 +18,7 @@ import scipy.sparse
 
 from .errors import InvalidArgumentError
 from .quadrature import quadrature_rule
-from .space import physical_points, shape_grads, shape_values
+from .space import element_blocks, physical_points, shape_grads, shape_values
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,12 @@ def assemble_matrix(space, form):
 
 
 def assemble_load(space, form, u):
-    """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u."""
+    """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u.
+
+    The element vectors are computed block by block (`element_blocks`) into
+    one (elements, n_local) array and summed into b by one bincount, so the
+    samples of u at the quadrature points are held for one block at a time.
+    """
     if form.kind == "perturbed":
         b = assemble_load(space, form.base, u)
         if not math.isinf(form.delta):
@@ -173,7 +183,18 @@ def assemble_load(space, form, u):
             f"form kind {form.kind!r} requires a gradient for the projected function")
     mesh = space.mesh
     rule, V, G = _element_data(space, 2 * space.degree + 4)
-    xq = physical_points(mesh.element_vertices, rule.points)
+    b_el = np.empty((mesh.n_elements, space.n_local))
+    for blk in element_blocks(mesh.n_elements):
+        b_el[blk] = _local_loads(space, form, u, rule, V, G, blk)
+    b = np.bincount(space.element_dofs.ravel(), weights=b_el.ravel(),
+                    minlength=space.n_dofs)
+    return b[space.free_dofs]
+
+
+def _local_loads(space, form, u, rule, V, G, blk):
+    """Element load vectors (K, n_local) of the elements in the slice blk."""
+    mesh = space.mesh
+    xq = physical_points(mesh.element_vertices[blk], rule.points)
     w = rule.weights
     flat = xq.reshape(-1, mesh.dimension)
     # b_ei = det_e sum_q w_q (s_q V_qi + sum_a r_qa G_qia): s are the value
@@ -187,11 +208,9 @@ def assemble_load(space, form, u):
         gu = np.asarray(u.gradient(flat), dtype=float).reshape(xq.shape)
         if form.kind == "adr":
             samples -= gu @ _velocity(space, form)
-        mapped = (gu @ mesh.inverse_jacobians.transpose(0, 2, 1)) * w[:, None]
-        b_el = mapped.reshape(mesh.n_elements, -1) @ G.transpose(0, 2, 1).reshape(
+        mapped = (gu @ mesh.inverse_jacobians[blk].transpose(0, 2, 1)) * w[:, None]
+        b_el = mapped.reshape(len(xq), -1) @ G.transpose(0, 2, 1).reshape(
             -1, space.n_local)
     b_el = b_el + (samples * w) @ V
-    b_el *= mesh.jacobian_dets[:, None]
-    b = np.bincount(space.element_dofs.ravel(), weights=b_el.ravel(),
-                    minlength=space.n_dofs)
-    return b[space.free_dofs]
+    b_el *= mesh.jacobian_dets[blk, None]
+    return b_el

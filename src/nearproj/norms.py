@@ -11,6 +11,11 @@ difference is one polynomial, with coefficients f_a - f_b, evaluated at the
 reference points.  The differing region is overlaid by simplices that each
 lie in one element of either mesh (the pair's `fragments`), and there the
 difference is integrated on all of them at once.
+
+Every pass over whole meshes (error norms, component norms, the shared-element
+pass, `support_measure`) samples its elements in blocks of
+`space.BLOCK_ELEMENTS` and sums the blocks' integrals (takes their maximum
+for eta = inf), so it holds one block's samples at a time.
 """
 
 import math
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import GeometryError, InvalidArgumentError
 from .forms import ZERO
 from .quadrature import quadrature_rule
-from .space import eval_at_physical, eval_on_elements, physical_points
+from .space import element_blocks, eval_at_physical, eval_on_elements, physical_points
 
 CONSERVATION_TOL = 1e-10
 SUPPORT_THRESHOLD = 1e-13
@@ -93,21 +98,34 @@ def _sample(f, u, elems, eta, gradients):
     return weights, parts
 
 
-def _integral(parts, eta, weights, det):
-    """Sum over parts, values (K, nq) or gradients (K, nq, d), of the
-    integral of |part|^eta, with the rule's weights and the element
-    determinants det (K,); with weights None (the grid), the largest
-    magnitude instead."""
+def _integrals(parts, eta, weights, det):
+    """Per part, values (K, nq) or gradients (K, nq, d), the integral of
+    |part|^eta with the rule's weights and the element determinants det (K,);
+    with weights None (the grid), the largest magnitude instead."""
     if weights is None:
-        return max(float(np.abs(p).max(initial=0.0)) for p in parts)
-    total = 0.0
-    for p in parts:
-        total += np.einsum("kqd"[:p.ndim] + ",q,k->", np.abs(p) ** eta, weights, det)
-    return total
+        return np.array([np.abs(p).max(initial=0.0) for p in parts])
+    return np.array([np.einsum("kqd"[:p.ndim] + ",q,k->", np.abs(p) ** eta, weights, det)
+                     for p in parts])
 
 
-def _norm(total, eta):
-    return float(total if math.isinf(eta) else total ** (1.0 / eta))
+def _blockwise(elems, det, eta, sample):
+    """`_integrals` of the parts that `sample(e)` returns with its weights,
+    over the elements elems taken in blocks e (`element_blocks`): summed
+    over the blocks, or their maximum when eta = inf; 0.0 for no elements."""
+    totals = 0.0
+    for blk in element_blocks(len(elems)):
+        e = elems[blk]
+        weights, parts = sample(e)
+        block = _integrals(parts, eta, weights, det[e])
+        totals = np.maximum(totals, block) if math.isinf(eta) else totals + block
+    return totals
+
+
+def _norm(totals, eta):
+    """The norm from per-part integrals: the largest part when eta = inf,
+    else the eta-th root of their sum."""
+    totals = np.asarray(totals)
+    return float(totals.max() if math.isinf(eta) else totals.sum() ** (1.0 / eta))
 
 
 def sobolev_norm_exact_diff(f, u, spec):
@@ -115,9 +133,9 @@ def sobolev_norm_exact_diff(f, u, spec):
     if spec.s == 1 and u.gradient is None:
         raise InvalidArgumentError("s=1 norm requires a gradient for u")
     mesh = f.space.mesh
-    elems = _elements(spec, mesh)
-    weights, parts = _sample(f, u, elems, spec.eta, spec.s == 1)
-    return _norm(_integral(parts, spec.eta, weights, mesh.jacobian_dets[elems]), spec.eta)
+    totals = _blockwise(_elements(spec, mesh), mesh.jacobian_dets, spec.eta,
+                        lambda e: _sample(f, u, e, spec.eta, spec.s == 1))
+    return _norm(totals, spec.eta)
 
 
 def fe_norm(f, spec):
@@ -132,11 +150,15 @@ def fe_component_norms(f, k, eta):
     component norms.
     """
     mesh = f.space.mesh
-    elems = np.arange(mesh.n_elements)
-    weights, parts = _sample(f, ZERO, elems, eta, k == 1)
-    if k == 1:
-        parts = parts[:1] + [parts[1][:, :, d] for d in range(mesh.dimension)]
-    return [_norm(_integral([p], eta, weights, mesh.jacobian_dets), eta) for p in parts]
+
+    def sample(e):
+        weights, parts = _sample(f, ZERO, e, eta, k == 1)
+        if k == 1:
+            parts = parts[:1] + [parts[1][:, :, d] for d in range(mesh.dimension)]
+        return weights, parts
+
+    totals = _blockwise(np.arange(mesh.n_elements), mesh.jacobian_dets, eta, sample)
+    return [_norm(t, eta) for t in totals]
 
 
 def cross_mesh_norm(diff, spec):
@@ -151,11 +173,13 @@ def cross_mesh_norm(diff, spec):
 
     # a shared element has the same DOFs in both spaces: one polynomial
     elems = _elements(spec, mesh_a)
-    ia = elems[pair.shared[elems]]
-    v, g = eval_on_elements(sa, f_a.coeffs - f_b.coeffs, ia, rule.points,
-                            gradients=need_grad)
-    shared = _integral([v] if g is None else [v, g], 2, rule.weights,
-                       mesh_a.jacobian_dets[ia])
+    coeffs = f_a.coeffs - f_b.coeffs
+
+    def shared_parts(e):
+        v, g = eval_on_elements(sa, coeffs, e, rule.points, gradients=need_grad)
+        return rule.weights, [v] if g is None else [v, g]
+
+    shared = _blockwise(elems[pair.shared[elems]], mesh_a.jacobian_dets, 2, shared_parts)
 
     simplices, ia, ib, covered = pair.fragments
     if spec.region is not None:
@@ -166,13 +190,13 @@ def cross_mesh_norm(diff, spec):
     vb, gb = eval_at_physical(sb, f_b.coeffs, ib, pts, gradients=need_grad)
     parts = [va - vb] if ga is None else [va - vb, ga - gb]
     det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
-    fragments = _integral(parts, 2, rule.weights, det)
+    fragments = _integrals(parts, 2, rule.weights, det)
     if spec.region is None and \
             abs(covered - pair.differing_region_measure) > CONSERVATION_TOL:
         raise GeometryError(
             f"clipped fragments cover {covered:.17g} of a differing region "
             f"of measure {pair.differing_region_measure:.17g}")
-    return float(np.sqrt(shared + fragments))
+    return float(np.sqrt(np.sum(shared) + fragments.sum()))
 
 
 def support_measure(f):
@@ -180,9 +204,11 @@ def support_measure(f):
     space = f.space
     mesh = space.mesh
     rule = quadrature_rule(mesh.dimension, 2 * space.degree)
-    elems = np.arange(mesh.n_elements)
-    vals, _ = eval_on_elements(space, f.coeffs, elems, rule.points)
-    active = np.abs(vals).max(axis=1) > SUPPORT_THRESHOLD
-    active |= np.abs(f.coeffs[space.element_dofs]).max(axis=1) > SUPPORT_THRESHOLD
+    active = np.empty(mesh.n_elements, dtype=bool)
+    for blk in element_blocks(mesh.n_elements):
+        vals, _ = eval_on_elements(space, f.coeffs, blk, rule.points)
+        active[blk] = ((np.abs(vals).max(axis=1) > SUPPORT_THRESHOLD)
+                       | (np.abs(f.coeffs[space.element_dofs[blk]]).max(axis=1)
+                          > SUPPORT_THRESHOLD))
     return float(mesh.element_measures[active].sum())
 

@@ -18,6 +18,10 @@ from .errors import InvalidArgumentError, OutOfDomainError
 BARY_TOL = 1e-12
 # elements per group at which nested dissection stops splitting
 LEAF_ELEMENTS = 32
+# elements per block of a pass that samples every element at quadrature
+# points (loads, error norms, the shared-element pass): a block's samples
+# take a few MB, so they do not grow with the mesh
+BLOCK_ELEMENTS = 2048
 
 
 def _bary(dim, pts):
@@ -212,6 +216,11 @@ def evaluate(f, x):
     value = float(V[0] @ f.coeffs[dofs])
     grad = f.coeffs[dofs] @ (G[0] @ space.mesh.inverse_jacobians[e])
     return value, grad
+
+
+def element_blocks(n):
+    """Slices that cover 0 .. n - 1 in consecutive blocks of BLOCK_ELEMENTS."""
+    return [slice(k, min(k + BLOCK_ELEMENTS, n)) for k in range(0, n, BLOCK_ELEMENTS)]
 
 
 def physical_points(vertices, ref_pts):

@@ -154,6 +154,28 @@ class TestCmdStudy:
         assert (err.value.key, err.value.line) == ("point", 7)
         assert str(err.value) == f"{path}:7: 'point' applies only to perturbation = single-node"
 
+    def test_point_length_is_reported_at_the_point_line(self, tmp_path):
+        # a 1-D point in a 2-D config: the point line, not the perturbation line
+        text = TABLE2_CONFIG.replace("dimension = 1", "dimension = 2")
+        path = write(tmp_path, text.replace("u = sin_pi", "u = sin_pi_2d"))
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == ("point", 7)
+        assert str(err.value) == (f"{path}:7: bad value for 'point': expected 2 "
+                                  f"components, got 1")
+
+    def test_key_set_twice_is_rejected_at_its_second_line(self, tmp_path, capsys):
+        path = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2\nlevels = 3"))
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == ("levels", 12)
+        assert str(err.value) == f"{path}:12: 'levels' is set twice, first at line 11"
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "study.cfg:12: 'levels' is set twice, first at line 11" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("dimension,kind", [(1, "boundary-band"),
                                                 (2, "shifted-second-node")])
     def test_perturbation_needs_its_dimension(self, tmp_path, capsys, dimension, kind):

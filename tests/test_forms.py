@@ -8,6 +8,7 @@ from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
                       fe_norm, perturb_node_nearest, perturbed_form)
+from nearproj import space
 from nearproj.forms import _element_data, _local_matrices
 from nearproj.space import evaluate, physical_points
 
@@ -75,6 +76,26 @@ class TestReferenceTensorKernels:
         from nearproj import named_function
         u = named_function("sin_pi" if dim == 1 else "sin_pi_2d")
         got, want = assemble_load(s, form, u), oracle_load(s, form, u)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", sorted(FORMS) + ["perturbed"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_load_in_ragged_blocks(self, dim, degree, kind, rng, monkeypatch):
+        # blocks of 7 elements: 8 = 7 + 1 in 1-D and 32 = 4 * 7 + 4 in 2-D
+        monkeypatch.setattr(space, "BLOCK_ELEMENTS", 7)
+        s = build_space(jittered_mesh(dim, rng), degree, dirichlet=True)
+        assert len(space.element_blocks(s.mesh.n_elements)) == (2 if dim == 1 else 5)
+        from nearproj import named_function
+        u = named_function("sin_pi" if dim == 1 else "sin_pi_2d")
+        if kind == "perturbed":
+            form = perturbed_form(self.FORMS["adr"](dim), 1.0)
+            want = (oracle_load(s, form.base, u)
+                    + s.mesh.h * oracle_load(s, MASS, u))
+        else:
+            form = self.FORMS[kind](dim)
+            want = oracle_load(s, form, u)
+        got = assemble_load(s, form, u)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

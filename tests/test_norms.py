@@ -10,6 +10,7 @@ from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec, GeometryError,
                       cross_mesh_norm, fe_norm, interpolate_nodal, named_function,
                       perturb_node_nearest, project, sobolev_norm_exact_diff,
                       support_measure)
+from nearproj import space
 from nearproj.norms import fe_component_norms
 from nearproj.quadrature import quadrature_rule
 from nearproj.space import eval_at_physical, eval_on_elements, evaluate, physical_points
@@ -271,6 +272,67 @@ class TestCrossMeshNormOracle:
         fb = project(build_space(pair2d4.mesh_b, 1, dirichlet=True), form, sin2d)
         exact = cross_mesh_norm(CrossMeshDiff(fa, fb, pair2d4), NormSpec(s, 2))
         assert exact == pytest.approx(self._oracle(fa, fb, s), rel=rel)
+
+
+def _mesh_and_pair(dim):
+    """A mesh of 64 (1-D) or 128 (2-D) elements, which blocks of 7 split
+    raggedly, and its single-node pair."""
+    mesh = build_uniform_interval(64) if dim == 1 else build_uniform_square(8)
+    point = (0.25,) if dim == 1 else (0.25, 0.25)
+    moved = perturb_node_nearest(mesh, point, (mesh.h / 4,) + (0.0,) * (dim - 1))
+    return mesh, classify_pair(mesh, moved, float(dim))
+
+
+class TestBlockedPasses:
+    """Every whole-mesh pass in ragged blocks of 7 elements against the same
+    pass in one block."""
+
+    @staticmethod
+    def _blocked_and_whole(monkeypatch, run):
+        monkeypatch.setattr(space, "BLOCK_ELEMENTS", 7)
+        blocked = run()
+        monkeypatch.setattr(space, "BLOCK_ELEMENTS", 10 ** 9)
+        return blocked, run()
+
+    @pytest.mark.parametrize("eta", [2.0, math.inf])
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_error_norm(self, dim, degree, s, eta, sin1d, sin2d, rng, monkeypatch):
+        mesh, _ = _mesh_and_pair(dim)
+        f = random_fe_function(build_space(mesh, degree, dirichlet=False), rng)
+        u = sin1d if dim == 1 else sin2d
+        for region in (None, frozenset(range(1, mesh.n_elements, 3)), frozenset()):
+            spec = NormSpec(s, eta, region=region)
+            blocked, whole = self._blocked_and_whole(
+                monkeypatch, lambda: sobolev_norm_exact_diff(f, u, spec))
+            if region == frozenset():
+                assert blocked == whole == 0.0
+            elif math.isinf(eta):
+                assert blocked == whole      # a maximum does not round
+            else:
+                assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_components_cross_norm_and_support(self, dim, degree, rng, monkeypatch):
+        mesh, pair = _mesh_and_pair(dim)
+        f_a = random_fe_function(build_space(pair.mesh_a, degree, dirichlet=True), rng)
+        f_b = random_fe_function(build_space(pair.mesh_b, degree, dirichlet=True), rng)
+        diff = CrossMeshDiff(f_a, f_b, pair)
+        sparse = random_fe_function(f_a.space, rng, sparsity=0.1)
+        for s in (0, 1):
+            for region in (None, frozenset(range(0, mesh.n_elements, 2))):
+                blocked, whole = self._blocked_and_whole(
+                    monkeypatch, lambda: cross_mesh_norm(diff, NormSpec(s, 2, region)))
+                assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
+            for eta in (2.0, math.inf):
+                blocked, whole = self._blocked_and_whole(
+                    monkeypatch, lambda: fe_component_norms(f_a, s, eta))
+                assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
+        blocked, whole = self._blocked_and_whole(monkeypatch,
+                                                 lambda: support_measure(sparse))
+        assert 0.0 < blocked == whole < mesh.domain_measure
 
 
 class TestSeminormExact:
