@@ -6,13 +6,14 @@ Exit status: 0 all golden checks pass, 1 a golden check failed, 2 usage error.
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, InvalidArgumentError, NearprojError
-from .forms import MASS, STIFFNESS, BilinearFormSpec, perturbed_form
+from .forms import MASS, STIFFNESS, BilinearFormSpec
 from .norms import NormSpec
 from .study import (PerturbationSpec, StudyConfig, named_function,
                     predicted_order_for_norm, run_projection_study,
@@ -305,22 +306,28 @@ def parse_study_config(path):
         raise ConfigError(f"{path}{'' if line is None else f':{line}'}: {problem}",
                           key=key, line=line)
 
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                fail("expected 'key = value'", line=lineno)
-            key, value = (t.strip() for t in stripped.split("=", 1))
-            if key in _DERIVED_KEYS:
-                fail(f"{key!r} is derived from the config; try other values with "
-                     f"'nearproj predict'", key, lineno)
-            if key not in _CONFIG_KEYS:
-                fail(f"unknown key {key!r}", key, lineno)
-            if key in raw:
-                fail(f"{key!r} is set twice, first at line {raw[key][1]}", key, lineno)
-            raw[key] = (value, lineno)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fail(f"not UTF-8 text: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1)
+    # newline=None reads the lines as a text-mode file does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            fail("expected 'key = value'", line=lineno)
+        key, value = (t.strip() for t in stripped.split("=", 1))
+        if key in _DERIVED_KEYS:
+            fail(f"{key!r} is derived from the config; try other values with "
+                 f"'nearproj predict'", key, lineno)
+        if key not in _CONFIG_KEYS:
+            fail(f"unknown key {key!r}", key, lineno)
+        if key in raw:
+            fail(f"{key!r} is set twice, first at line {raw[key][1]}", key, lineno)
+        raw[key] = (value, lineno)
 
     def get(key, convert=str, default=None, required=False):
         """`convert` of the value of `key`, or `default` if the file has none."""
@@ -351,10 +358,9 @@ def parse_study_config(path):
     if kind not in forms:
         fail(f"unknown form {kind!r}", "form")
     form = forms[kind]
-    for key, convert in (("kappa", float), ("velocity", coordinates)):
+    # delta: a_h^+ = a_h + h^delta * mass on mesh b
+    for key, convert in (("kappa", float), ("velocity", coordinates), ("delta", float)):
         form = get(key, lambda text: replace(form, **{key: convert(text)}), form)
-    # a_h^+ = a_h + h^delta * mass on mesh b
-    form = get("delta", lambda text: perturbed_form(form, float(text)), form)
     try:
         pert = PerturbationSpec(get("perturbation", required=True),
                                 point=get("point", coordinates),

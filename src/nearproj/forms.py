@@ -2,7 +2,9 @@
 
 Scalar callables follow the convention value(x) -> (N,) and gradient(x) -> (N, d)
 for x of shape (N, d).  The advection velocity of an ADR form is a constant
-vector.
+vector.  A form with a finite delta is the paper's a_h^+ = a_h + h^delta (u, w):
+its matrix and load are those of its kind plus h^delta times the mass matrix
+and the mass load.
 
 A load samples u at the quadrature points of every element.  It does so in
 blocks of `space.BLOCK_ELEMENTS` elements, so its memory is one block's
@@ -11,7 +13,7 @@ mesh size.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -50,17 +52,17 @@ class BilinearFormSpec:
                        constant velocity v (None: zero) and finite kappa >= 0;
                        on a space with Dirichlet constraints its symmetric
                        part is stiffness + kappa*mass, so it is coercive
-    kind 'perturbed':  base + h^delta * mass
+    A finite delta >= 0 adds h^delta * mass to any kind (the paper's
+    a_h^+ = a_h + h^delta (u, w)); delta = inf adds nothing.
     """
 
     kind: str
     kappa: float = 1.0
     velocity: tuple = None
-    base: "BilinearFormSpec" = None
-    delta: float = None
+    delta: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("mass", "stiffness", "adr", "perturbed"):
+        if self.kind not in ("mass", "stiffness", "adr"):
             raise InvalidArgumentError(f"unknown form kind {self.kind!r}")
         if self.kind == "adr" and not 0 <= self.kappa < math.inf:
             raise InvalidArgumentError(f"adr requires a finite kappa >= 0, got {self.kappa}")
@@ -69,21 +71,13 @@ class BilinearFormSpec:
             if not all(map(math.isfinite, self.velocity)):
                 raise InvalidArgumentError(
                     f"velocity components must be finite, got {self.velocity}")
-        if self.kind == "perturbed":
-            if self.base is None or self.delta is None:
-                raise InvalidArgumentError("perturbed form requires base and delta "
-                                           "(it adds h^delta * mass)")
-            if not self.delta >= 0:   # also rejects nan
-                raise InvalidArgumentError("delta must be >= 0 (or inf)")
+        if not self.delta >= 0:   # also rejects nan
+            raise InvalidArgumentError("delta must be >= 0 (or inf)")
 
     @property
     def s(self):
         """Sobolev order of the form: 0 for mass, 1 otherwise."""
-        if self.kind == "mass":
-            return 0
-        if self.kind == "perturbed":
-            return self.base.s
-        return 1
+        return 0 if self.kind == "mass" else 1
 
 
 MASS = BilinearFormSpec("mass")
@@ -91,7 +85,8 @@ STIFFNESS = BilinearFormSpec("stiffness")
 
 
 def perturbed_form(base, delta):
-    return BilinearFormSpec("perturbed", base=base, delta=delta)
+    """a_h^+ = a_h + h^delta * mass: `base` with its delta set to `delta`."""
+    return replace(base, delta=delta)
 
 
 def _element_data(space, exactness):
@@ -155,15 +150,13 @@ def _scatter(space, local):
 
 def assemble_matrix(space, form):
     """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs."""
-    if form.kind == "perturbed":
-        A = assemble_matrix(space, form.base)
-        if not math.isinf(form.delta):
-            A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
-        return A
     if form.kind == "adr" and not space.dirichlet:
         raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
     rule, V, G = _element_data(space, 2 * space.degree)
-    return _scatter(space, _local_matrices(space, form, rule, V, G))
+    A = _scatter(space, _local_matrices(space, form, rule, V, G))
+    if math.isfinite(form.delta):
+        A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
+    return A
 
 
 def assemble_load(space, form, u):
@@ -173,11 +166,6 @@ def assemble_load(space, form, u):
     one (elements, n_local) array and summed into b by one bincount, so the
     samples of u at the quadrature points are held for one block at a time.
     """
-    if form.kind == "perturbed":
-        b = assemble_load(space, form.base, u)
-        if not math.isinf(form.delta):
-            b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
-        return b
     if form.s == 1 and u.gradient is None:
         raise InvalidArgumentError(
             f"form kind {form.kind!r} requires a gradient for the projected function")
@@ -187,8 +175,10 @@ def assemble_load(space, form, u):
     for blk in element_blocks(mesh.n_elements):
         b_el[blk] = _local_loads(space, form, u, rule, V, G, blk)
     b = np.bincount(space.element_dofs.ravel(), weights=b_el.ravel(),
-                    minlength=space.n_dofs)
-    return b[space.free_dofs]
+                    minlength=space.n_dofs)[space.free_dofs]
+    if math.isfinite(form.delta):
+        b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
+    return b
 
 
 def _local_loads(space, form, u, rule, V, G, blk):

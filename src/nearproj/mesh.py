@@ -5,7 +5,9 @@ arrays are write-protected, and every operation returns a new mesh.  A mesh
 pair is a mesh and a copy of it with some nodes moved, so the two share one
 element array and are matched by index: element k is shared when none of its
 nodes moved.  A pair overlays its differing region once, on first use:
-interval intersections in 1-D, fan triangles of clipped polygons in 2-D.
+interval intersections in 1-D, fan triangles of clipped polygons in 2-D, each
+with its Jacobian determinant, and checks as it builds it that the fragments
+cover the differing region, so every norm reads a checked overlay.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +21,7 @@ COORD_TOL = 1e-14          # per-coordinate tolerance for "identical point"
 MEASURE_TOL = 1e-12
 BOX_TOL = 1e-13            # bounding boxes this close count as overlapping
 CLIP_VERTEX_TOL = 1e-12
+CONSERVATION_TOL = 1e-10   # overlay measure vs differing-region measure
 # Clipping a convex polygon by a half-plane adds at most one vertex, so a
 # triangle clipped by the three edges of another has at most six.
 MAX_CLIP_VERTICES = 6
@@ -198,10 +201,17 @@ class MeshPair:
 
     @cached_property
     def fragments(self):
-        """Overlay of the differing region, built once per pair: see _fragments."""
+        """Overlay of the differing region (see _fragments), built once per
+        pair and checked: its measures, summed in pair order, must match
+        differing_region_measure to within CONSERVATION_TOL."""
         dia = self.differing_elements_a()
         out = _fragments(self.mesh_a, dia, self.mesh_b, dia)
-        for arr in out[:3]:
+        covered = float(np.cumsum(np.append(0.0, out[3]))[-1]) / self.mesh_a.dimension
+        if abs(covered - self.differing_region_measure) > CONSERVATION_TOL:
+            raise GeometryError(
+                f"clipped fragments cover {covered:.17g} of a differing region "
+                f"of measure {self.differing_region_measure:.17g}")
+        for arr in out:
             arr.setflags(write=False)
         return out
 
@@ -322,23 +332,15 @@ def _dedupe(poly, count):
     return out, n
 
 
-def _polygon_areas(poly, n):
-    """Signed shoelace areas, summed vertex by vertex."""
-    x, y = poly
-    rows, total = np.arange(len(n)), np.zeros(len(n))
-    for i in range(poly.shape[2]):
-        nxt = np.where(i + 1 < n, i + 1, 0)
-        term = x[:, i] * y[rows, nxt] - x[rows, nxt] * y[:, i]
-        total = np.where(i < n, total + term, total)
-    return 0.5 * total
-
-
 def _fragments(mesh_a, dia, mesh_b, dib):
     """Overlay of elements dia of mesh_a with elements dib of mesh_b.
 
     Returns the fragments as simplices (F, d+1, d), the parent element of each
-    in mesh_a and in mesh_b, and the measure they cover, summed in pair order.
-    Overlaps of measure at most CLIP_VERTEX_TOL are dropped.
+    in mesh_a and in mesh_b, and the Jacobian determinant of each (d! times
+    its signed measure), in pair order.  Overlaps whose simplices measure at
+    most CLIP_VERTEX_TOL in total are dropped.  A clip vertex rounded off its
+    line can turn a fan triangle clockwise; its negative measure cancels the
+    overshoot of the next triangle, so integrals over the fan are the polygon's.
     """
     pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
     ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
@@ -346,16 +348,17 @@ def _fragments(mesh_a, dia, mesh_b, dib):
     if mesh_a.dimension == 1:
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
-        keep = (hi - lo)[:, 0] > CLIP_VERTEX_TOL
-        return (np.stack([lo, hi], axis=1)[keep], ia[keep], ib[keep],
-                float((hi - lo)[keep].sum()))
-    poly, n = _dedupe(*_clip_triangles(va, vb))
-    area = _polygon_areas(poly, n)
-    keep = (n >= 3) & ~(area <= CLIP_VERTEX_TOL)
-    poly, n = poly[:, keep].transpose(1, 2, 0), n[keep]
-    # fan triangles (0, k, k + 1), k = 1 .. n - 2, in pair order
-    fan = np.arange(1, poly.shape[1] - 1) < n[:, None] - 1
-    tris = np.stack([np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape),
-                     poly[:, 1:-1], poly[:, 2:]], axis=2)
-    return (tris[fan], np.repeat(ia[keep], n - 2), np.repeat(ib[keep], n - 2),
-            float(np.cumsum(np.append(0.0, area[keep]))[-1]))
+        simplices, owner = np.stack([lo, hi], axis=1), np.arange(len(ia))
+    else:
+        poly, n = _dedupe(*_clip_triangles(va, vb))
+        poly = poly.transpose(1, 2, 0)
+        # fan triangles (0, k, k + 1), k = 1 .. n - 2, of each pair's polygon
+        fan = np.arange(1, poly.shape[1] - 1) < n[:, None] - 1
+        simplices = np.stack([np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape),
+                              poly[:, 1:-1], poly[:, 2:]], axis=2)[fan]
+        owner = np.nonzero(fan)[0]
+    dets = np.linalg.det(simplices[:, 1:] - simplices[:, :1])
+    # a simplex measures det / d!, and d! = d for d = 1, 2
+    measure = np.bincount(owner, dets, len(ia)) / mesh_a.dimension
+    keep = ~(measure <= CLIP_VERTEX_TOL)[owner]
+    return simplices[keep], ia[owner[keep]], ib[owner[keep]], dets[keep]

@@ -5,7 +5,7 @@ the differing-region scaling gamma is well defined across a family.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,6 +149,8 @@ class StudyConfig:
                 f"function {self.u!r} is not defined in dimension {self.dimension}")
         if self.levels < 2:
             raise InvalidArgumentError("levels must be >= 2")
+        if len(set(self.norms)) < len(self.norms):
+            raise InvalidArgumentError(f"each norm may be listed once, got {self.norms}")
         n0 = self.n0 if self.n0 is not None else (8 if self.dimension == 1 else 4)
         object.__setattr__(self, "n0", n0)
         if n0 < 2:
@@ -168,9 +170,8 @@ class StudyConfig:
         perturbation, (k, eta) from u, delta from the form, mu = nu = 0 (the
         perturbation of a form is a mass term) and r = min(degree + 1, k)."""
         k, eta = named_function(self.u).regularity
-        delta = self.form.delta if self.form.kind == "perturbed" else math.inf
         return RateInputs(gamma=self.perturbation.gamma(self.dimension), eta=eta,
-                          delta=delta, s=self.form.s, r=min(self.degree + 1, k))
+                          delta=self.form.delta, s=self.form.s, r=min(self.degree + 1, k))
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,6 @@ def predicted_order_for_norm(spec, rate_inputs):
     return None
 
 
-def _forms_for_pair(form):
-    """Forms used on mesh_a and mesh_b: a perturbed spec means a_h vs a_h^+."""
-    if form.kind == "perturbed":
-        return form.base, form
-    return form, form
-
-
 def build_level(cfg, level):
     """Mesh pair, spaces, and the two projections at one refinement level."""
     n = cfg.n0 * 2 ** level
@@ -220,9 +214,9 @@ def build_level(cfg, level):
     space_a = build_space(mesh_a, cfg.degree, dirichlet=True)
     space_b = build_space(mesh_b, cfg.degree, dirichlet=True)
     u = named_function(cfg.u)
-    form_a, form_b = _forms_for_pair(cfg.form)
-    f_a = project(space_a, form_a, u)
-    f_b = project(space_b, form_b, u)
+    # a_h on mesh a, a_h^+ = a_h + h^delta * mass on mesh b
+    f_a = project(space_a, replace(cfg.form, delta=math.inf), u)
+    f_b = project(space_b, cfg.form, u)
     return pair, f_a, f_b
 
 

@@ -235,6 +235,25 @@ class TestCmdStudy:
     def test_missing_file(self, capsys):
         assert main(["study", "/nonexistent/nowhere.cfg"]) == 2
 
+    def test_repeated_norm_is_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, TABLE2_CONFIG.replace("norms = 1:2", "norms = 0:2,0:2"))
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: each norm may be listed once")
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # the error names the line of the first byte that does not decode
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"dimension = 1\n\xff\xfe = 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(str(path))
+        assert err.value.line == 2
+        assert main(["study", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:2: not UTF-8 text")
+        assert "Traceback" not in captured.out + captured.err
+
 
 @pytest.mark.parametrize("command", ["table", "study"])
 def test_unwritable_csv_is_usage_error(tmp_path, capsys, monkeypatch, command):

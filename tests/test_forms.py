@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -90,7 +93,7 @@ class TestReferenceTensorKernels:
         u = named_function("sin_pi" if dim == 1 else "sin_pi_2d")
         if kind == "perturbed":
             form = perturbed_form(self.FORMS["adr"](dim), 1.0)
-            want = (oracle_load(s, form.base, u)
+            want = (oracle_load(s, replace(form, delta=math.inf), u)
                     + s.mesh.h * oracle_load(s, MASS, u))
         else:
             form = self.FORMS[kind](dim)
@@ -243,12 +246,33 @@ class TestPerturbedForm:
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_infinite_delta_is_base(self, mesh1d8):
-        import math
         s = build_space(mesh1d8, 1, dirichlet=True)
         base = assemble_matrix(s, STIFFNESS).toarray()
         plus = assemble_matrix(s, perturbed_form(STIFFNESS, math.inf)).toarray()
         assert np.array_equal(base, plus)
 
-    def test_requires_parts(self):
-        with pytest.raises(InvalidArgumentError):
-            BilinearFormSpec("perturbed", base=STIFFNESS)
+    FORMS = TestReferenceTensorKernels.FORMS
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_finite_delta_adds_h_delta_mass_bitwise(self, kind, sin2d, rng):
+        s = build_space(jittered_mesh(2, rng), 2, dirichlet=True)
+        base = self.FORMS[kind](2)
+        plus = perturbed_form(base, 1.0)
+        h = s.mesh.h
+        want = assemble_matrix(s, base) + h * assemble_matrix(s, MASS)
+        got = assemble_matrix(s, plus)
+        assert (got != want).nnz == 0
+        want = assemble_load(s, base, sin2d) + h * assemble_load(s, MASS, sin2d)
+        assert assemble_load(s, plus, sin2d).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_delta_is_a_field_of_every_kind(self, kind):
+        form = self.FORMS[kind](2)
+        assert form.delta == math.inf
+        assert perturbed_form(form, math.inf) == form
+        assert perturbed_form(perturbed_form(form, 1.0), 2.0) == perturbed_form(form, 2.0)
+        for delta in (-1.0, math.nan):
+            with pytest.raises(InvalidArgumentError, match="delta must be >= 0"):
+                perturbed_form(form, delta)
+            with pytest.raises(InvalidArgumentError, match="delta must be >= 0"):
+                replace(form, delta=delta)

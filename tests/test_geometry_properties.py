@@ -13,7 +13,7 @@ from nearproj import (CrossMeshDiff, FunctionSpec, NormSpec, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, interpolate_nodal, perturb_boundary_band,
                       perturb_node_nearest)
-from nearproj.mesh import _clip_triangles, _dedupe, _polygon_areas
+from nearproj.mesh import _clip_triangles, _dedupe
 
 L2, H1 = NormSpec(0, 2), NormSpec(1, 2)
 
@@ -87,9 +87,15 @@ def _triangle(points):
 
 
 def _clipped_areas(subject, clipper):
-    """Areas of subject[k] clipped by clipper[k] (0 for fewer than 3 vertices)."""
-    poly, n = _dedupe(*_clip_triangles(np.array(subject), np.array(clipper)))
-    return np.where(n >= 3, _polygon_areas(poly, n), 0.0)
+    """Shoelace areas of subject[k] clipped by clipper[k] (0 for fewer than 3
+    vertices)."""
+    (x, y), n = _dedupe(*_clip_triangles(np.array(subject), np.array(clipper)))
+    areas = np.zeros(len(n))
+    for k in np.flatnonzero(n >= 3):
+        i = np.arange(n[k])
+        j = (i + 1) % n[k]
+        areas[k] = 0.5 * np.sum(x[k, i] * y[k, j] - x[k, j] * y[k, i])
+    return areas
 
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False, width=32)

@@ -200,18 +200,33 @@ class TestRegionSplit:
 
 
 class TestConservationCheck:
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_wrong_differing_measure_raises(self, dim, pair1d8, pair2d4):
-        # fragments that cover 1e-8 less than the pair's differing region fail
-        pair = pair1d8 if dim == 1 else pair2d4
+    @staticmethod
+    def _wrong_diff(pair):
+        """A difference on a copy of `pair` whose differing region is stated
+        1e-8 larger than its fragments cover."""
         wrong = dataclasses.replace(
             pair, differing_region_measure=pair.differing_region_measure + 1e-8)
         sa = build_space(pair.mesh_a, 1, dirichlet=True)
         sb = build_space(pair.mesh_b, 1, dirichlet=True)
-        d = CrossMeshDiff(FeFunction(sa, np.ones(sa.n_dofs)),
-                          FeFunction(sb, np.ones(sb.n_dofs)), wrong)
+        return CrossMeshDiff(FeFunction(sa, np.ones(sa.n_dofs)),
+                             FeFunction(sb, np.ones(sb.n_dofs)), wrong)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wrong_differing_measure_raises(self, dim, pair1d8, pair2d4):
+        d = self._wrong_diff(pair1d8 if dim == 1 else pair2d4)
         with pytest.raises(GeometryError, match="clipped fragments cover"):
             cross_mesh_norm(d, NormSpec(0, 2))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_region_restricted_norm_checks_the_overlay(self, dim, pair1d8, pair2d4):
+        # the pair checks its overlay when it builds it, so the first norm
+        # that reads it fails, whatever region that norm asks for
+        d = self._wrong_diff(pair1d8 if dim == 1 else pair2d4)
+        region = frozenset(d.pair.differing_elements_a()[:1].tolist())
+        with pytest.raises(GeometryError, match="clipped fragments cover"):
+            cross_mesh_norm(d, NormSpec(1, 2, region=region))
+        with pytest.raises(GeometryError, match="clipped fragments cover"):
+            d.pair.fragments
 
 
 def _p1_at_points(f, pts):
@@ -499,7 +514,7 @@ def _cross_oracle(diff, spec, per_side=False):
     v, g = difference(
         *eval_at_physical(f_a.space, f_a.coeffs, ia, pts, gradients=grad),
         *eval_at_physical(f_b.space, f_b.coeffs, ib, pts, gradients=grad))
-    det = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :]))
+    det = np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :])
     total += squares(v, g, det)
     return float(np.sqrt(total))
 

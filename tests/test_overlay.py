@@ -2,7 +2,8 @@
 
 The oracle is the per-candidate loop the overlay is built to reproduce: a
 dense bounding-box matrix for the candidate pairs, then one clip, dedupe and
-shoelace area per pair.  The batched overlay must equal it bitwise.
+fan of determinants per pair.  The batched overlay must equal it bitwise, and
+the fragments' measures must add up to the clipped polygons' shoelace areas.
 """
 
 import math
@@ -81,30 +82,34 @@ def _dense_overlap_pairs(mesh_a, ia, mesh_b, ib):
 
 
 def _oracle_fragments(mesh_a, dia, mesh_b, dib):
+    """The overlay's fragments, parents and determinants, and the measure the
+    fragments cover as shoelace areas of the clipped polygons."""
     pairs = _dense_overlap_pairs(mesh_a, dia, mesh_b, dib)
     ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
     va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
     if mesh_a.dimension == 1:
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
-        keep = (hi - lo)[:, 0] > CLIP_VERTEX_TOL
-        return (np.stack([lo, hi], axis=1)[keep], ia[keep], ib[keep],
+        intervals = np.stack([lo, hi], axis=1)
+        dets = np.linalg.det(intervals[:, 1:] - intervals[:, :1])
+        keep = ~(dets <= CLIP_VERTEX_TOL)
+        return (intervals[keep], ia[keep], ib[keep], dets[keep],
                 float((hi - lo)[keep].sum()))
-    simplices, parent_a, parent_b = [], [], []
+    simplices, parent_a, parent_b, dets = [], [], [], []
     covered = 0.0
     for i, j, tri_a, tri_b in zip(ia, ib, va.tolist(), vb.tolist()):
         poly = _dedupe_polygon(_clip_convex(tri_a, tri_b))
-        if len(poly) < 3:
+        fan = [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
+        fan_dets = [np.linalg.det(np.subtract(t[1:], t[0])) for t in fan]
+        if sum(fan_dets) / 2 <= CLIP_VERTEX_TOL:
             continue
-        area = _polygon_area(poly)
-        if area <= CLIP_VERTEX_TOL:
-            continue
-        covered += area
-        simplices += [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
-        parent_a += [i] * (len(poly) - 2)
-        parent_b += [j] * (len(poly) - 2)
+        covered += _polygon_area(poly)
+        simplices += fan
+        dets += fan_dets
+        parent_a += [i] * len(fan)
+        parent_b += [j] * len(fan)
     return (np.array(simplices).reshape(-1, 3, 2), np.array(parent_a, dtype=np.int64),
-            np.array(parent_b, dtype=np.int64), covered)
+            np.array(parent_b, dtype=np.int64), np.array(dets, dtype=float), covered)
 
 
 def assert_same_bits(x, y):
@@ -114,11 +119,13 @@ def assert_same_bits(x, y):
 
 def assert_matches_oracle(a, dia, b, dib):
     assert_same_bits(_overlap_pairs(a, dia, b, dib), _dense_overlap_pairs(a, dia, b, dib))
-    *arrays, covered = _fragments(a, dia, b, dib)
+    arrays = _fragments(a, dia, b, dib)
     *expected, expected_covered = _oracle_fragments(a, dia, b, dib)
-    for x, y in zip(arrays, expected):
+    for x, y in zip(arrays, expected, strict=True):
         assert_same_bits(x, y)
-    assert abs(covered - expected_covered) <= 1e-15
+    # the fragments' signed measures (det / d!, and d! = d) add up to the
+    # shoelace areas of the polygons, to rounding
+    assert abs(arrays[3].sum() / a.dimension - expected_covered) <= 1e-14
 
 
 # -- perturbed mesh pairs -----------------------------------------------------
@@ -184,14 +191,29 @@ def test_overlay_is_built_once_and_restricts_by_parent():
     pair = classify_pair(m, perturb_boundary_band(m, m.h / math.sqrt(2),
                                                   (m.h / 4, 0.0)), 1.0)
     assert pair.fragments is pair.fragments
-    simplices, ia, ib, covered = pair.fragments
-    assert covered == pytest.approx(pair.differing_region_measure, abs=1e-12)
+    simplices, ia, ib, dets = pair.fragments
+    assert dets.sum() / 2 == pytest.approx(pair.differing_region_measure, abs=1e-12)
     dia = pair.differing_elements_a()
     region = dia[::3]
     keep = np.isin(ia, region)
     alone = _fragments(pair.mesh_a, region, pair.mesh_b, dia)
-    for x, y in zip((simplices[keep], ia[keep], ib[keep]), alone[:3]):
+    for x, y in zip((simplices[keep], ia[keep], ib[keep], dets[keep]), alone,
+                    strict=True):
         assert_same_bits(x, y)
+
+
+def test_fan_triangle_inverted_by_a_rounded_clip_vertex():
+    # a node moved by 1e-9 h lays two edges through (0, 0) nearly on top of
+    # each other; their rounded crossing lands 2e-8 outside both triangles,
+    # and the fan from it starts with a clockwise triangle.  Its signed
+    # measure cancels the overshoot of the next one, so the overlay covers
+    # the differing region and the pair's check passes
+    m = build_uniform_square(3)
+    pair = classify_pair(m, perturb_node_nearest(m, (1 / 3, 1 / 3),
+                                                 (4.714045265252764e-10, 0.0)), 2.0)
+    dets = pair.fragments[3]
+    assert dets.min() < -1e-9
+    assert dets.sum() / 2 == pytest.approx(pair.differing_region_measure, abs=1e-15)
 
 
 def test_clip_beyond_vertex_bound_raises(monkeypatch):

@@ -59,6 +59,12 @@ class TestRunProjectionStudy:
         with pytest.raises(InvalidArgumentError):
             short_cfg(levels=1)
 
+    def test_repeated_norm_rejected(self):
+        # two entries of one norm would append to one column of values
+        for norms in ((L2, L2), (H1, L2, NormSpec(1, 2))):
+            with pytest.raises(InvalidArgumentError, match="each norm may be listed once"):
+                short_cfg(norms=norms)
+
     def test_free_dof_budget(self):
         # (degree n - 1)^dimension at the finest n = n0 2^(levels - 1)
         pert_2d = PerturbationSpec("single-node", point=(0.25, 0.25), fraction=0.25)
