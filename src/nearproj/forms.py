@@ -66,6 +66,9 @@ class BilinearFormSpec:
             raise InvalidArgumentError(f"unknown form kind {self.kind!r}")
         if self.kind == "adr" and not 0 <= self.kappa < math.inf:
             raise InvalidArgumentError(f"adr requires a finite kappa >= 0, got {self.kappa}")
+        if self.kind != "adr" and (self.kappa != 1.0 or self.velocity is not None):
+            raise InvalidArgumentError(f"kappa and velocity apply only to adr, "
+                                       f"not to {self.kind}")
         if self.velocity is not None:
             object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
             if not all(map(math.isfinite, self.velocity)):

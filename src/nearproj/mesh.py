@@ -5,9 +5,9 @@ arrays are write-protected, and every operation returns a new mesh.  A mesh
 pair is a mesh and a copy of it with some nodes moved, so the two share one
 element array and are matched by index: element k is shared when none of its
 nodes moved.  A pair overlays its differing region once, on first use:
-interval intersections in 1-D, fan triangles of clipped polygons in 2-D, each
-with its Jacobian determinant, and checks as it builds it that the fragments
-cover the differing region, so every norm reads a checked overlay.
+interval intersections in 1-D, fan triangles of clipped polygons in 2-D (no
+clip vertex is merged), each with its Jacobian determinant, and checks as it
+builds it that the fragments cover the differing region.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +22,9 @@ MEASURE_TOL = 1e-12
 BOX_TOL = 1e-13            # bounding boxes this close count as overlapping
 CLIP_VERTEX_TOL = 1e-12
 CONSERVATION_TOL = 1e-10   # overlay measure vs differing-region measure
-# Clipping a convex polygon by a half-plane adds at most one vertex, so a
-# triangle clipped by the three edges of another has at most six.
-MAX_CLIP_VERTICES = 6
+# A half-plane clip keeps the vertices inside and adds a crossing per change of
+# side, so m vertices become at most 3m/2 (3, 4, 6, 9) in any arithmetic.
+MAX_CLIP_VERTICES = 9
 
 
 class Mesh:
@@ -247,47 +247,40 @@ def classify_pair(a, b, gamma_nominal):
 
 def _overlap_pairs(mesh_a, ia, mesh_b, ib):
     """Pairs (row of ia, row of ib) of elements whose bounding boxes overlap,
-    in lexicographic order.
-
-    Sort and sweep on x: the boxes of ib are sorted by their lower x bound.
-    Box i of ia is tested, in every coordinate, against the window of them
-    whose lower x bound lies in [lo_a - widest box - 2 BOX_TOL, hi_a + BOX_TOL].
-    """
-    va = mesh_a.element_vertices[ia]
-    vb = mesh_b.element_vertices[ib]
-    lo_a, hi_a = va.min(axis=1).T, va.max(axis=1).T + BOX_TOL
-    lo_b, hi_b = vb.min(axis=1).T, vb.max(axis=1).T + BOX_TOL
-    order = np.argsort(lo_b[0], kind="stable")
-    sorted_lo = lo_b[0, order]
-    width = (hi_b[0] - lo_b[0]).max(initial=0.0)
-    start = np.searchsorted(sorted_lo, lo_a[0] - width - BOX_TOL)
-    count = np.searchsorted(sorted_lo, hi_a[0], side="right") - start
-    # the k-th box in the window of box i is order[start[i] + k]
-    i = np.repeat(np.arange(len(ia)), count)
-    j = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
-    for d in reversed(range(len(lo_a))):
-        ok = (lo_a[d, i] <= hi_b[d, j]) & (lo_b[d, j] <= hi_a[d, i])
-        i, j = i[ok], j[ok]
-    k = np.lexsort((j, i))
-    return np.column_stack([i[k], j[k]])
+    in lexicographic order: one k-d tree query on the box centres (Bentley,
+    CACM 18 (1975) 509), then the box test in every coordinate."""
+    # imported here: scipy.spatial adds ~50 ms to `import nearproj`
+    from scipy.spatial import cKDTree
+    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    lo_a, hi_a = va.min(axis=1), va.max(axis=1) + BOX_TOL
+    lo_b, hi_b = vb.min(axis=1), vb.max(axis=1) + BOX_TOL
+    # boxes overlap iff their centres lie at most half their summed widths
+    # apart in every coordinate, so a max-norm reach of half the widest box of
+    # each side, + BOX_TOL against rounding, returns a superset of the pairs
+    reach = ((hi_a - lo_a).max(initial=0.0) + (hi_b - lo_b).max(initial=0.0)) / 2 + BOX_TOL
+    near = cKDTree((lo_a + hi_a) / 2).sparse_distance_matrix(
+        cKDTree((lo_b + hi_b) / 2), reach, p=np.inf, output_type="ndarray")
+    i, j = near["i"], near["j"]
+    ok = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
+    k = np.lexsort((j[ok], i[ok]))
+    return np.column_stack([i[ok][k], j[ok][k]])
 
 
 def _clip_triangles(subject, clipper):
     """Sutherland-Hodgman clip of each ccw triangle subject[k] by the ccw
     triangle clipper[k], all pairs at once.
 
-    Returns the polygons as coordinates (2, pairs, MAX_CLIP_VERTICES), padded
-    with zeros, and their vertex counts.  Each vertex is computed with the
-    operations of the scalar algorithm, in its order, so no result depends on
-    the rest of the batch.
+    Returns the polygons as coordinates (2, pairs, width), padded with zeros
+    to the largest vertex count, and their vertex counts.  Each vertex is
+    computed with the operations of the scalar algorithm, in its order, so no
+    result depends on the rest of the batch.
     """
-    m, width = len(subject), MAX_CLIP_VERTICES
-    rows, slots = np.arange(m), np.arange(width)
-    poly = np.zeros((2, m, width))
-    poly[:, :, :3] = subject.transpose(2, 0, 1)
+    m, rows = len(subject), np.arange(len(subject))
+    poly = subject.transpose(2, 0, 1)
     count = np.full(m, 3)
     corners = clipper.transpose(1, 2, 0)[..., None]        # (3, 2, pairs, 1)
     for k in range(3):
+        width = poly.shape[2]
         (ax, ay), (bx, by) = corners[k], corners[(k + 1) % 3]
         ex, ey = bx - ax, by - ay
         x, y = poly
@@ -295,41 +288,27 @@ def _clip_triangles(subject, clipper):
         # s: the vertex before each slot, cyclically
         s = np.concatenate([poly[:, rows, count - 1, None], poly[:, :, :-1]], axis=2)
         s_in = np.column_stack([inside[rows, count - 1], inside[:, :-1]])
-        valid = slots < count[:, None]
+        valid = np.arange(width) < count[:, None]
         cross, keep = valid & (inside != s_in), valid & inside
         # each vertex emits the crossing of the edge that ends at it, then itself
         emit = np.stack([cross, keep], axis=2)
         count = emit.sum(axis=(1, 2))
-        if count.max(initial=0) > width:
+        if count.max(initial=0) > MAX_CLIP_VERTICES:
             raise GeometryError(f"a clipped triangle has {count.max()} vertices, "
-                                f"more than the bound of {width}")
+                                f"more than the bound of {MAX_CLIP_VERTICES}")
+        new_width = max(count.max(initial=0), 1)   # a slot for count - 1 = -1
         dest = np.cumsum(emit.reshape(m, 2 * width), axis=1).reshape(emit.shape) - 1 \
-            + width * rows[:, None, None]
+            + new_width * rows[:, None, None]
         r = np.nonzero(cross)[0]
         (sx, sy), (px, py) = s[:, cross], poly[:, cross]
         ax, ay, ex, ey = ax[r, 0], ay[r, 0], ex[r, 0], ey[r, 0]
         dx, dy = px - sx, py - sy
         t = (ex * (ay - sy) - ey * (ax - sx)) / (ex * dy - ey * dx)
-        out = np.zeros((2, m * width))
+        out = np.zeros((2, m * new_width))
         out[:, dest[..., 0][cross]] = sx + t * dx, sy + t * dy
         out[:, dest[..., 1][keep]] = poly[:, keep]
-        poly = out.reshape(2, m, width)
+        poly = out.reshape(2, m, new_width)
     return poly, count
-
-
-def _dedupe(poly, count):
-    """Drop each vertex within CLIP_VERTEX_TOL of the last one kept, then a
-    last vertex within CLIP_VERTEX_TOL of the first."""
-    out, last = np.zeros_like(poly), poly[:, :, 0]
-    n = np.zeros(len(count), dtype=np.int64)
-    for j in range(poly.shape[2]):
-        p = poly[:, :, j]
-        new = (j < count) & ((n == 0) | np.any(np.abs(p - last) > CLIP_VERTEX_TOL, axis=0))
-        out[:, new, n[new]] = p[:, new]
-        last = np.where(new, p, last)
-        n += new
-    n -= (n > 1) & np.all(np.abs(out[:, :, 0] - last) <= CLIP_VERTEX_TOL, axis=0)
-    return out, n
 
 
 def _fragments(mesh_a, dia, mesh_b, dib):
@@ -338,9 +317,10 @@ def _fragments(mesh_a, dia, mesh_b, dib):
     Returns the fragments as simplices (F, d+1, d), the parent element of each
     in mesh_a and in mesh_b, and the Jacobian determinant of each (d! times
     its signed measure), in pair order.  Overlaps whose simplices measure at
-    most CLIP_VERTEX_TOL in total are dropped.  A clip vertex rounded off its
-    line can turn a fan triangle clockwise; its negative measure cancels the
-    overshoot of the next triangle, so integrals over the fan are the polygon's.
+    most CLIP_VERTEX_TOL in total are dropped, and so is a fan triangle of
+    determinant exactly 0, which integrates to 0; no clip vertex is merged.
+    A clip vertex rounded off its line can turn a fan triangle clockwise; its
+    negative measure cancels the overshoot of the next triangle.
     """
     pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
     ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
@@ -350,7 +330,7 @@ def _fragments(mesh_a, dia, mesh_b, dib):
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
         simplices, owner = np.stack([lo, hi], axis=1), np.arange(len(ia))
     else:
-        poly, n = _dedupe(*_clip_triangles(va, vb))
+        poly, n = _clip_triangles(va, vb)
         poly = poly.transpose(1, 2, 0)
         # fan triangles (0, k, k + 1), k = 1 .. n - 2, of each pair's polygon
         fan = np.arange(1, poly.shape[1] - 1) < n[:, None] - 1
@@ -360,5 +340,5 @@ def _fragments(mesh_a, dia, mesh_b, dib):
     dets = np.linalg.det(simplices[:, 1:] - simplices[:, :1])
     # a simplex measures det / d!, and d! = d for d = 1, 2
     measure = np.bincount(owner, dets, len(ia)) / mesh_a.dimension
-    keep = ~(measure <= CLIP_VERTEX_TOL)[owner]
+    keep = ~(measure <= CLIP_VERTEX_TOL)[owner] & (dets != 0)
     return simplices[keep], ia[owner[keep]], ib[owner[keep]], dets[keep]

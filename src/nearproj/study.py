@@ -95,6 +95,9 @@ class PerturbationSpec:
             raise InvalidArgumentError(f"unknown perturbation kind {self.kind!r}")
         if self.kind == "single-node" and self.point is None:
             raise InvalidArgumentError("single-node perturbation requires a point")
+        if self.kind != "single-node" and self.point is not None:
+            raise InvalidArgumentError(f"a point applies only to a single-node "
+                                       f"perturbation, not to {self.kind}")
         if not math.isfinite(self.fraction):
             raise InvalidArgumentError(f"fraction must be finite, got {self.fraction}")
 

@@ -175,6 +175,17 @@ class TestAssembleMatrix:
         with pytest.raises(InvalidArgumentError):
             BilinearFormSpec("adr", **kwargs)
 
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa": 5.0}, {"kappa": float("nan")}, {"velocity": (3.0,)},
+        {"velocity": (1.0, 2.0, 3.0)}], ids=["kappa", "kappa-nan", "velocity",
+                                             "velocity-3"])
+    def test_adr_inputs_rejected_on_other_kinds(self, kind, kwargs):
+        # the mass and stiffness kernels would ignore them
+        with pytest.raises(InvalidArgumentError, match="apply only to adr"):
+            BilinearFormSpec(kind, **kwargs)
+        assert BilinearFormSpec(kind, kappa=1.0) == BilinearFormSpec(kind)
+
     def test_velocity_dimension_mismatch_raises(self, mesh2d4):
         s = build_space(mesh2d4, 1, dirichlet=True)
         with pytest.raises(InvalidArgumentError):

@@ -13,7 +13,7 @@ from nearproj import (CrossMeshDiff, FunctionSpec, NormSpec, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, interpolate_nodal, perturb_boundary_band,
                       perturb_node_nearest)
-from nearproj.mesh import _clip_triangles, _dedupe
+from nearproj.mesh import _clip_triangles
 
 L2, H1 = NormSpec(0, 2), NormSpec(1, 2)
 
@@ -88,8 +88,8 @@ def _triangle(points):
 
 def _clipped_areas(subject, clipper):
     """Shoelace areas of subject[k] clipped by clipper[k] (0 for fewer than 3
-    vertices)."""
-    (x, y), n = _dedupe(*_clip_triangles(np.array(subject), np.array(clipper)))
+    vertices); a repeated vertex adds nothing to the shoelace sum."""
+    (x, y), n = _clip_triangles(np.array(subject), np.array(clipper))
     areas = np.zeros(len(n))
     for k in np.flatnonzero(n >= 3):
         i = np.arange(n[k])

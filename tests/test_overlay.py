@@ -1,8 +1,9 @@
 """The batched overlay of a mesh pair against a scalar Sutherland-Hodgman oracle.
 
 The oracle is the per-candidate loop the overlay is built to reproduce: a
-dense bounding-box matrix for the candidate pairs, then one clip, dedupe and
-fan of determinants per pair.  The batched overlay must equal it bitwise, and
+dense bounding-box matrix for the candidate pairs, then one clip and fan of
+determinants per pair, with no clip vertex merged and the fan triangles of
+determinant exactly 0 dropped.  The batched overlay must equal it bitwise, and
 the fragments' measures must add up to the clipped polygons' shoelace areas.
 """
 
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nearproj import (DegenerateMeshError, GeometryError, Mesh, build_uniform_interval,
-                      build_uniform_square, classify_pair, perturb_boundary_band,
-                      perturb_node_nearest)
+from nearproj import (DegenerateMeshError, GeometryError, Mesh, PerturbationSpec,
+                      build_uniform_interval, build_uniform_square, classify_pair,
+                      perturb_boundary_band, perturb_node_nearest)
 from nearproj import mesh as meshmod
-from nearproj.mesh import BOX_TOL, CLIP_VERTEX_TOL, _fragments, _overlap_pairs
+from nearproj.cli import BAND_2D
+from nearproj.mesh import (BOX_TOL, CLIP_VERTEX_TOL, _clip_triangles, _fragments,
+                           _overlap_pairs)
 
 
 # -- the scalar oracle --------------------------------------------------------
@@ -45,18 +48,6 @@ def _clip_convex(subject, clipper):
             if p_in:
                 out.append((px, py))
             sx, sy, s_in = px, py, p_in
-    return out
-
-
-def _dedupe_polygon(poly):
-    out = []
-    for p in poly:
-        if not out or (abs(p[0] - out[-1][0]) > CLIP_VERTEX_TOL
-                       or abs(p[1] - out[-1][1]) > CLIP_VERTEX_TOL):
-            out.append(p)
-    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= CLIP_VERTEX_TOL \
-            and abs(out[0][1] - out[-1][1]) <= CLIP_VERTEX_TOL:
-        out.pop()
     return out
 
 
@@ -98,16 +89,18 @@ def _oracle_fragments(mesh_a, dia, mesh_b, dib):
     simplices, parent_a, parent_b, dets = [], [], [], []
     covered = 0.0
     for i, j, tri_a, tri_b in zip(ia, ib, va.tolist(), vb.tolist()):
-        poly = _dedupe_polygon(_clip_convex(tri_a, tri_b))
+        poly = _clip_convex(tri_a, tri_b)
         fan = [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
         fan_dets = [np.linalg.det(np.subtract(t[1:], t[0])) for t in fan]
         if sum(fan_dets) / 2 <= CLIP_VERTEX_TOL:
             continue
         covered += _polygon_area(poly)
-        simplices += fan
-        dets += fan_dets
-        parent_a += [i] * len(fan)
-        parent_b += [j] * len(fan)
+        for triangle, det in zip(fan, fan_dets):
+            if det != 0:
+                simplices.append(triangle)
+                dets.append(det)
+                parent_a.append(i)
+                parent_b.append(j)
     return (np.array(simplices).reshape(-1, 3, 2), np.array(parent_a, dtype=np.int64),
             np.array(parent_b, dtype=np.int64), np.array(dets, dtype=float), covered)
 
@@ -182,6 +175,18 @@ def test_overlay_of_random_triangles_matches_oracle(ta, tb):
     assert_matches_oracle(a, np.arange(a.n_elements), b, np.arange(b.n_elements))
 
 
+@pytest.mark.parametrize("perturbation", [
+    BAND_2D, PerturbationSpec("single-node", point=(3 / 16, 5 / 16), fraction=0.25)],
+    ids=["table-6-band", "single-node"])
+def test_overlay_of_study_pairs_matches_oracle(perturbation):
+    # the strategies above build meshes of at most 8 x 8 squares; the band's
+    # long vertical sides at n = 32 put many boxes of one side at one x
+    m = build_uniform_square(32)
+    pair = classify_pair(m, perturbation.apply(m), 1.0)
+    dia = pair.differing_elements_a()
+    assert_matches_oracle(m, dia, pair.mesh_b, dia)
+
+
 # -- one overlay per pair -----------------------------------------------------
 
 def test_overlay_is_built_once_and_restricts_by_parent():
@@ -214,6 +219,17 @@ def test_fan_triangle_inverted_by_a_rounded_clip_vertex():
     dets = pair.fragments[3]
     assert dets.min() < -1e-9
     assert dets.sum() / 2 == pytest.approx(pair.differing_region_measure, abs=1e-15)
+
+
+def test_clip_past_six_vertices_by_rounding():
+    # exact arithmetic would give at most six vertices; here a crossing rounded
+    # 1.5e-12 off the next clip edge makes the sides alternate, and the clip
+    # has seven
+    ta = [(0.0, 0.84375), (-0.5, 0.8616943955421448), (0.0, 0.0)]
+    tb = [(-9.999999747378752e-06, 0.84375), (-0.5, 0.8616943955421448), (1.0, 0.0)]
+    a, b = (Mesh(2, np.array(t), [[0, 1, 2]], []) for t in (ta, tb))
+    assert _clip_triangles(a.element_vertices, b.element_vertices)[1].tolist() == [7]
+    assert_matches_oracle(a, np.arange(1), b, np.arange(1))
 
 
 def test_clip_beyond_vertex_bound_raises(monkeypatch):

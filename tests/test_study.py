@@ -59,6 +59,14 @@ class TestRunProjectionStudy:
         with pytest.raises(InvalidArgumentError):
             short_cfg(levels=1)
 
+    @pytest.mark.parametrize("kind", ["boundary-band", "shifted-second-node"])
+    def test_point_rejected_off_single_node(self, kind):
+        # only a single-node perturbation reads its point
+        with pytest.raises(InvalidArgumentError, match="applies only to a single-node"):
+            PerturbationSpec(kind, point=(0.25, 0.25))
+        with pytest.raises(InvalidArgumentError, match="requires a point"):
+            PerturbationSpec("single-node")
+
     def test_repeated_norm_rejected(self):
         # two entries of one norm would append to one column of values
         for norms in ((L2, L2), (H1, L2, NormSpec(1, 2))):
