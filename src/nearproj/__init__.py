@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateMeshError, GeometryError,
                      InvalidArgumentError, NearprojError, OutOfDomainError)
 from .forms import MASS, STIFFNESS, BilinearFormSpec, FunctionSpec, \
-    assemble_load, assemble_matrix, perturbed_form
+    assemble_load, assemble_matrix
 from .mesh import (Mesh, MeshPair, build_uniform_interval, build_uniform_square,
                    classify_pair, perturb_boundary_band, perturb_node_nearest)
 from .norms import (CrossMeshDiff, NormSpec, cross_mesh_norm, fe_norm,

@@ -164,7 +164,7 @@ def run_table(table_id):
     if table_id not in TABLES:
         raise InvalidArgumentError(f"table id must be one of {sorted(TABLES)}")
     definition = TABLES[table_id]
-    results = [run_projection_study(cfg) for cfg in definition.configs]
+    results = run_projection_study(*definition.configs)
     columns = [(label, results[ci], spec) for label, ci, spec in definition.columns]
     scale, note = ((STORED_2D_NORM_FACTOR,
                     " x sqrt(2) (stored 2-D values are exact norm / sqrt(2))")
@@ -383,7 +383,7 @@ def cmd_study(args):
     if ri.s == 1:
         notes.append(f"predicted sigma' = {_number(predicted_sigma_prime(ri), '.4g')}")
     with _open_csv(args) as csv:
-        result = run_projection_study(cfg)
+        result, = run_projection_study(cfg)
         columns = [(f"norm_{spec.s}_2", result, spec) for spec in cfg.norms]
         _emit(_report(f"study {args.config}", columns, notes=notes), args, csv)
     return 0

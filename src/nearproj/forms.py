@@ -13,7 +13,7 @@ mesh size.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -85,11 +85,6 @@ class BilinearFormSpec:
 
 MASS = BilinearFormSpec("mass")
 STIFFNESS = BilinearFormSpec("stiffness")
-
-
-def perturbed_form(base, delta):
-    """a_h^+ = a_h + h^delta * mass: `base` with its delta set to `delta`."""
-    return replace(base, delta=delta)
 
 
 def _element_data(space, exactness):

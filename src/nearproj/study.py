@@ -1,4 +1,5 @@
-"""Refinement studies: build mesh pairs per level, project, measure, rate.
+"""Refinement studies: build one mesh pair per level, project, measure, rate.
+The configs of one study share that pair, as the columns of a table do.
 
 Perturbation displacements are re-derived at every level as fraction * h, so
 the differing-region scaling gamma is well defined across a family.
@@ -207,60 +208,74 @@ def predicted_order_for_norm(spec, rate_inputs):
     return None
 
 
-def build_level(cfg, level):
-    """Mesh pair, spaces, and the two projections at one refinement level."""
+def _pair(cfg, level):
+    """Mesh a at one refinement level, its perturbed copy, and their pair."""
     n = cfg.n0 * 2 ** level
     build = build_uniform_interval if cfg.dimension == 1 else build_uniform_square
     mesh_a = build(n)
     mesh_b = cfg.perturbation.apply(mesh_a)
-    pair = classify_pair(mesh_a, mesh_b, cfg.perturbation.gamma(cfg.dimension))
-    space_a = build_space(mesh_a, cfg.degree, dirichlet=True)
-    space_b = build_space(mesh_b, cfg.degree, dirichlet=True)
+    return classify_pair(mesh_a, mesh_b, cfg.perturbation.gamma(cfg.dimension))
+
+
+def _projections(cfg, pair):
+    """Project u with a_h onto mesh a's space and with a_h^+ onto mesh b's."""
+    space_a = build_space(pair.mesh_a, cfg.degree, dirichlet=True)
+    space_b = build_space(pair.mesh_b, cfg.degree, dirichlet=True)
     u = named_function(cfg.u)
-    # a_h on mesh a, a_h^+ = a_h + h^delta * mass on mesh b
-    f_a = project(space_a, replace(cfg.form, delta=math.inf), u)
-    f_b = project(space_b, cfg.form, u)
-    return pair, f_a, f_b
+    return (project(space_a, replace(cfg.form, delta=math.inf), u),
+            project(space_b, cfg.form, u))
 
 
-def run_projection_study(cfg):
-    """Rows of (h, cross-mesh norms, observed orders) plus theory predictions."""
-    rows = []
-    values = {spec: [] for spec in cfg.norms}
-    hs = []
-    for level in range(cfg.levels):
-        pair, f_a, f_b = build_level(cfg, level)
-        diff = CrossMeshDiff(f_a, f_b, pair)
-        norm_values = {spec: cross_mesh_norm(diff, spec) for spec in cfg.norms}
-        for spec in cfg.norms:
-            values[spec].append(norm_values[spec])
-        hs.append(pair.mesh_a.h)
-        orders = {}
-        if level > 0:
-            for spec in cfg.norms:
-                if min(values[spec][-2:]) > 0:
-                    orders[spec] = float(observed_orders(hs[-2:], values[spec][-2:])[0])
-        rows.append(StudyRow(level, hs[-1], float(2 ** level), norm_values, orders))
-    flags = []
-    for spec in cfg.norms:
-        vals = values[spec]
-        # a column of exact zeros (identical meshes) does not rise
-        if any(b > a or b == a != 0 for a, b in zip(vals, vals[1:])):
-            flags.append((spec, "non-monotone norm values"))
-    predicted = {spec: predicted_order_for_norm(spec, cfg.rate_inputs)
-                 for spec in cfg.norms}
-    return StudyResult(cfg, tuple(rows), predicted, tuple(flags))
+def build_level(cfg, level):
+    """Mesh pair, spaces, and the two projections at one refinement level."""
+    pair = _pair(cfg, level)
+    return (pair, *_projections(cfg, pair))
+
+
+def run_projection_study(*cfgs):
+    """One StudyResult per config, in order: rows of (h, cross-mesh norms,
+    observed orders) plus theory predictions.  The configs share one pair
+    family, so each level builds one mesh pair and projects every config
+    onto it."""
+    if len({(c.dimension, c.n0, c.levels, c.perturbation) for c in cfgs}) != 1:
+        raise InvalidArgumentError("a study runs one or more configs that share "
+                                   "dimension, n0, levels and perturbation")
+    rows = [[] for _ in cfgs]       # by position: two equal configs stay apart
+    for level in range(cfgs[0].levels):
+        pair = _pair(cfgs[0], level)
+        h = pair.mesh_a.h
+        for cfg, cfg_rows in zip(cfgs, rows):
+            diff = CrossMeshDiff(*_projections(cfg, pair), pair)
+            norm_values = {spec: cross_mesh_norm(diff, spec) for spec in cfg.norms}
+            del diff    # free this config's spaces before the next config projects
+            last = cfg_rows[-1] if cfg_rows else None
+            orders = {spec: float(observed_orders([last.h, h], [last.norm_values[spec], v])[0])
+                      for spec, v in norm_values.items()
+                      if last and min(last.norm_values[spec], v) > 0}
+            cfg_rows.append(StudyRow(level, h, float(2 ** level), norm_values, orders))
+    return tuple(_result(cfg, tuple(cfg_rows)) for cfg, cfg_rows in zip(cfgs, rows))
+
+
+def _result(cfg, rows):
+    """The StudyResult of one config's rows: its flags and predicted orders."""
+    values = {spec: [row.norm_values[spec] for row in rows] for spec in cfg.norms}
+    # a column of exact zeros (identical meshes) does not rise
+    flags = tuple((spec, "non-monotone norm values") for spec, vals in values.items()
+                  if any(b > a or b == a != 0 for a, b in zip(vals, vals[1:])))
+    return StudyResult(cfg, rows, {spec: predicted_order_for_norm(spec, cfg.rate_inputs)
+                                   for spec in cfg.norms}, flags)
 
 
 def run_regularity_study(p, levels):
     """Interpolant supercloseness for u of limited regularity (grid with the
     second node shifted to 3h/2, n0 = 8); with eta = p the predicted L2/H1
     orders are 5/2 - 1/p and 3/2 - 1/p."""
-    return run_projection_study(StudyConfig(
+    result, = run_projection_study(StudyConfig(
         dimension=1, degree=1, form=STIFFNESS,
         perturbation=PerturbationSpec("shifted-second-node", fraction=0.5),
         u=f"power_p{float(p)!r}", levels=levels,
         norms=(NormSpec(0, 2), NormSpec(1, 2))))
+    return result
 
 
 def naive_bound_check(cfg, level):

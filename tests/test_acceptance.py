@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from nearproj import (CrossMeshDiff, FeFunction, FunctionSpec, MASS, NormSpec,
                       named_function, perturb_boundary_band, perturb_node_nearest,
                       predicted_sigma, predicted_sigma_prime, project,
                       run_projection_study, run_regularity_study,
-                      assemble_load, assemble_matrix, perturbed_form,
+                      assemble_load, assemble_matrix,
                       PerturbationSpec, StudyConfig)
 from nearproj.cli import STORED_2D_NORM_FACTOR, TABLES, run_table
 from nearproj.norms import fe_component_norms
@@ -312,8 +313,8 @@ def test_criterion_9_perturbed_form_orders():
     ok = True
     for delta in (0.0, 1.0, 2.0):
         # identical meshes, a_h on one and a_h + h^delta mass on the other
-        result = run_projection_study(StudyConfig(
-            dimension=1, degree=1, form=perturbed_form(STIFFNESS, delta),
+        result, = run_projection_study(StudyConfig(
+            dimension=1, degree=1, form=replace(STIFFNESS, delta=delta),
             perturbation=PerturbationSpec("single-node", point=(0.25,), fraction=0.0),
             u="sin_pi", levels=5, norms=(H1, L2)))
         predicted = result.predicted_orders[H1]

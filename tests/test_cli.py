@@ -64,7 +64,7 @@ class TestCmdStudy:
     def test_matches_embedded_table(self, tmp_path, capsys):
         cfg = parse_study_config(write(tmp_path, TABLE2_CONFIG))
         from nearproj import run_projection_study
-        result = run_projection_study(cfg)
+        result, = run_projection_study(cfg)
         report = run_table(2)
         for row, ref in zip(result.rows, report.rows):
             assert row.norm_values[cfg.norms[0]] == ref["affine"]
@@ -255,9 +255,24 @@ class TestCmdStudy:
         assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("table_id", [1, 6])
+def test_table_builds_one_pair_per_level(monkeypatch, table_id):
+    # both configs of the table project onto the pair of each level
+    real, calls = study.classify_pair, []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(study, "classify_pair", counted)
+    run_table(table_id)
+    assert len(cli.TABLES[table_id].configs) == 2
+    assert len(calls) == cli.TABLES[table_id].configs[0].levels == 6
+
+
 @pytest.mark.parametrize("command", ["table", "study"])
 def test_unwritable_csv_is_usage_error(tmp_path, capsys, monkeypatch, command):
-    def never_run(cfg):
+    def never_run(*cfgs):
         raise AssertionError("the path is opened before the run; no level may run")
 
     monkeypatch.setattr(cli, "run_projection_study", never_run)
@@ -272,7 +287,7 @@ def test_unwritable_csv_is_usage_error(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("degree", ["0", "3"])
 def test_unsupported_degree_is_a_config_error(tmp_path, capsys, monkeypatch, degree):
-    def never_run(cfg):
+    def never_run(*cfgs):
         raise AssertionError("the degree is checked before any level runs")
 
     monkeypatch.setattr(cli, "run_projection_study", never_run)
@@ -285,7 +300,7 @@ def test_unsupported_degree_is_a_config_error(tmp_path, capsys, monkeypatch, deg
 
 @pytest.mark.parametrize("command", ["table", "study"])
 def test_failed_run_keeps_existing_csv(tmp_path, capsys, monkeypatch, command):
-    def fail(cfg):
+    def fail(*cfgs):
         raise InvalidArgumentError("the run failed")
 
     monkeypatch.setattr(cli, "run_projection_study", fail)
@@ -299,7 +314,7 @@ def test_failed_run_keeps_existing_csv(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["table", "study", "table 99"])
 def test_failed_run_removes_the_csv_it_created(tmp_path, capsys, monkeypatch, command):
-    def fail(cfg):
+    def fail(*cfgs):
         raise InvalidArgumentError("the run failed")
 
     monkeypatch.setattr(cli, "run_projection_study", fail)

@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS,
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
-                      fe_norm, perturb_node_nearest, perturbed_form)
+                      fe_norm, perturb_node_nearest)
 from nearproj import space
 from nearproj.forms import _element_data, _local_matrices
 from nearproj.space import evaluate, physical_points
@@ -92,7 +92,7 @@ class TestReferenceTensorKernels:
         from nearproj import named_function
         u = named_function("sin_pi" if dim == 1 else "sin_pi_2d")
         if kind == "perturbed":
-            form = perturbed_form(self.FORMS["adr"](dim), 1.0)
+            form = replace(self.FORMS["adr"](dim), delta=1.0)
             want = (oracle_load(s, replace(form, delta=math.inf), u)
                     + s.mesh.h * oracle_load(s, MASS, u))
         else:
@@ -246,7 +246,7 @@ class TestPerturbedForm:
         mesh = build_uniform_interval(16)
         s = build_space(mesh, 1, dirichlet=False)
         base = assemble_matrix(s, STIFFNESS)
-        plus = assemble_matrix(s, perturbed_form(STIFFNESS, delta))
+        plus = assemble_matrix(s, replace(STIFFNESS, delta=delta))
         D = (plus - base).toarray()
         spec = NormSpec(0, 2)
         for _ in range(100):
@@ -259,7 +259,7 @@ class TestPerturbedForm:
     def test_infinite_delta_is_base(self, mesh1d8):
         s = build_space(mesh1d8, 1, dirichlet=True)
         base = assemble_matrix(s, STIFFNESS).toarray()
-        plus = assemble_matrix(s, perturbed_form(STIFFNESS, math.inf)).toarray()
+        plus = assemble_matrix(s, replace(STIFFNESS, delta=math.inf)).toarray()
         assert np.array_equal(base, plus)
 
     FORMS = TestReferenceTensorKernels.FORMS
@@ -268,7 +268,7 @@ class TestPerturbedForm:
     def test_finite_delta_adds_h_delta_mass_bitwise(self, kind, sin2d, rng):
         s = build_space(jittered_mesh(2, rng), 2, dirichlet=True)
         base = self.FORMS[kind](2)
-        plus = perturbed_form(base, 1.0)
+        plus = replace(base, delta=1.0)
         h = s.mesh.h
         want = assemble_matrix(s, base) + h * assemble_matrix(s, MASS)
         got = assemble_matrix(s, plus)
@@ -280,10 +280,6 @@ class TestPerturbedForm:
     def test_delta_is_a_field_of_every_kind(self, kind):
         form = self.FORMS[kind](2)
         assert form.delta == math.inf
-        assert perturbed_form(form, math.inf) == form
-        assert perturbed_form(perturbed_form(form, 1.0), 2.0) == perturbed_form(form, 2.0)
         for delta in (-1.0, math.nan):
-            with pytest.raises(InvalidArgumentError, match="delta must be >= 0"):
-                perturbed_form(form, delta)
             with pytest.raises(InvalidArgumentError, match="delta must be >= 0"):
                 replace(form, delta=delta)

@@ -6,8 +6,9 @@ import pytest
 
 import nearproj
 from nearproj import (MASS, NormSpec, PerturbationSpec, STIFFNESS, StudyConfig,
-                      InvalidArgumentError, perturbed_form, run_projection_study,
+                      InvalidArgumentError, run_projection_study,
                       run_regularity_study)
+from nearproj.cli import TABLES
 from nearproj.study import naive_bound_check
 
 L2, H1 = NormSpec(0, 2), NormSpec(1, 2)
@@ -23,7 +24,7 @@ def short_cfg(**kwargs):
 
 class TestRunProjectionStudy:
     def test_reference_values_first_levels(self):
-        result = run_projection_study(short_cfg())
+        result, = run_projection_study(short_cfg())
         vals = [r.norm_values[L2] for r in result.rows]
         for got, ref in zip(vals, (3.2150e-03, 5.6505e-04, 9.9837e-05)):
             assert got == pytest.approx(ref, rel=5e-4)
@@ -31,20 +32,20 @@ class TestRunProjectionStudy:
         assert result.predicted_orders[L2] == pytest.approx(2.5)
 
     def test_h1_study_predictions(self):
-        result = run_projection_study(short_cfg(form=STIFFNESS, norms=(H1, L2)))
+        result, = run_projection_study(short_cfg(form=STIFFNESS, norms=(H1, L2)))
         assert result.predicted_orders[H1] == pytest.approx(1.5)
         assert result.predicted_orders[L2] == pytest.approx(2.5)
 
     def test_norm_order_invariance(self):
-        a = run_projection_study(short_cfg(form=STIFFNESS, norms=(H1, L2)))
-        b = run_projection_study(short_cfg(form=STIFFNESS, norms=(L2, H1)))
+        a, = run_projection_study(short_cfg(form=STIFFNESS, norms=(H1, L2)))
+        b, = run_projection_study(short_cfg(form=STIFFNESS, norms=(L2, H1)))
         for ra, rb in zip(a.rows, b.rows):
             assert ra.norm_values[L2] == rb.norm_values[L2]
             assert ra.norm_values[H1] == rb.norm_values[H1]
 
     def test_deterministic_rerun(self):
-        a = run_projection_study(short_cfg())
-        b = run_projection_study(short_cfg())
+        a, = run_projection_study(short_cfg())
+        b, = run_projection_study(short_cfg())
         for ra, rb in zip(a.rows, b.rows):
             assert ra.norm_values == rb.norm_values
             assert ra.orders == rb.orders
@@ -88,11 +89,38 @@ class TestRunProjectionStudy:
     def test_non_monotone_flagging(self):
         # delta=inf on identical meshes: values are solver noise, flagged not raised
         pert = PerturbationSpec("single-node", point=(0.25,), fraction=0.0)
-        from nearproj import perturbed_form
-        cfg = short_cfg(form=perturbed_form(STIFFNESS, math.inf),
+        cfg = short_cfg(form=replace(STIFFNESS, delta=math.inf),
                         perturbation=pert, norms=(H1,), levels=2)
-        result = run_projection_study(cfg)
+        result, = run_projection_study(cfg)
         assert all(r.norm_values[H1] < 1e-10 for r in result.rows)
+
+
+class TestJointStudy:
+    """One study of several configs builds one pair per level and projects
+    every config onto it."""
+
+    @pytest.mark.parametrize("field,other", [
+        ("perturbation", replace(PERT_1D, fraction=0.5)), ("levels", 4),
+    ], ids=["perturbation", "levels"])
+    def test_configs_of_two_pair_families_are_rejected(self, field, other):
+        with pytest.raises(InvalidArgumentError, match="share dimension, n0, levels "
+                                                       "and perturbation"):
+            run_projection_study(short_cfg(), short_cfg(**{field: other}))
+
+    @pytest.mark.parametrize("configs", [
+        [replace(cfg, levels=3) for cfg in TABLES[6].configs],
+        [short_cfg(form=STIFFNESS, norms=(H1, L2))] * 2,
+    ], ids=["table 6", "two equal configs"])
+    def test_joint_study_equals_one_study_per_config(self, configs):
+        joint = run_projection_study(*configs)
+        assert len(joint) == len(configs)
+        for cfg, result in zip(configs, joint):
+            single, = run_projection_study(cfg)
+            assert result.config == cfg
+            assert ([row.norm_values for row in result.rows]
+                    == [row.norm_values for row in single.rows])
+            assert [row.orders for row in result.rows] == [row.orders for row in single.rows]
+            assert result.flags == single.flags
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -101,7 +129,7 @@ class TestRunProjectionStudy:
     "1e-12 from n = 2048 on"))
 def test_quadratic_column_past_table_3_falls_at_the_predicted_order():
     cfg = short_cfg(degree=2, form=STIFFNESS, n0=8, levels=12)    # n = 8 .. 16384
-    values = [row.norm_values[L2] for row in run_projection_study(cfg).rows]
+    values = [row.norm_values[L2] for row in run_projection_study(cfg)[0].rows]
     assert all(b < a for a, b in zip(values, values[1:]))
     orders = [math.log2(a / b) for a, b in zip(values, values[1:])]
     assert all(abs(order - 3.5) <= 0.1 for order in orders), orders
@@ -131,7 +159,7 @@ class TestRegularityStudy:
                                                         fraction=0.5),
                           u="power_p3", levels=2, norms=(H1,))
         assert cfg.rate_inputs.r == 2
-        assert run_projection_study(cfg).predicted_orders[H1] == pytest.approx(
+        assert run_projection_study(cfg)[0].predicted_orders[H1] == pytest.approx(
             1.5 - 1 / 3, abs=1e-15)
 
     def test_large_p_approaches_smooth_rates(self):
@@ -146,7 +174,7 @@ class TestRegularityStudy:
                           perturbation=PerturbationSpec("shifted-second-node",
                                                         fraction=0.5),
                           u="bump_quadratic", levels=6, norms=(L2, H1))
-        result = run_projection_study(cfg)
+        result, = run_projection_study(cfg)
         assert result.rows[-1].orders[L2] == pytest.approx(2.5, abs=0.02)
         assert result.rows[-1].orders[H1] == pytest.approx(1.5, abs=0.02)
 
@@ -157,7 +185,7 @@ class TestRegularityStudy:
                           perturbation=PerturbationSpec("shifted-second-node",
                                                         fraction=0.5),
                           u="sin_pi", levels=6, norms=(L2, H1))
-        result = run_projection_study(cfg)
+        result, = run_projection_study(cfg)
         assert result.rows[-1].orders[L2] == pytest.approx(3.5, abs=0.02)
         assert result.rows[-1].orders[H1] == pytest.approx(2.5, abs=0.02)
 
@@ -168,7 +196,7 @@ class TestRegularityStudy:
 
 def perturbed_form_cfg(delta, fraction=0.0):
     """a_h^+ = stiffness + h^delta mass on mesh b; fraction 0: identical meshes."""
-    return short_cfg(form=perturbed_form(STIFFNESS, delta),
+    return short_cfg(form=replace(STIFFNESS, delta=delta),
                      perturbation=replace(PERT_1D, fraction=fraction),
                      levels=4, norms=(H1, L2))
 
@@ -176,25 +204,25 @@ def perturbed_form_cfg(delta, fraction=0.0):
 class TestPerturbedFormStudy:
     @pytest.mark.parametrize("delta,predicted_h1", [(0.0, 2.0), (1.0, 2.5), (2.0, 3.0)])
     def test_identical_meshes(self, delta, predicted_h1):
-        result = run_projection_study(perturbed_form_cfg(delta))
+        result, = run_projection_study(perturbed_form_cfg(delta))
         assert result.predicted_orders[H1] == pytest.approx(predicted_h1)
         assert result.rows[-1].orders[H1] >= predicted_h1 - 0.1
 
     def test_gamma_pair_caps_at_half(self):
-        result = run_projection_study(perturbed_form_cfg(2.0, fraction=0.25))
+        result, = run_projection_study(perturbed_form_cfg(2.0, fraction=0.25))
         assert result.predicted_orders[H1] == pytest.approx(1.5)
         assert result.rows[-1].orders[H1] >= 1.4
 
     def test_identical_meshes_and_forms_predict_nothing(self):
         cfg = perturbed_form_cfg(math.inf)
         assert math.isinf(cfg.rate_inputs.gamma) and math.isinf(cfg.rate_inputs.delta)
-        assert run_projection_study(replace(cfg, levels=2)).predicted_orders == {
+        assert run_projection_study(replace(cfg, levels=2))[0].predicted_orders == {
             H1: None, L2: None}
 
     def test_infinite_delta_noise_level(self):
         from nearproj.study import build_level
         cfg = StudyConfig(dimension=1, degree=1,
-                          form=nearproj.perturbed_form(STIFFNESS, math.inf),
+                          form=replace(STIFFNESS, delta=math.inf),
                           perturbation=PerturbationSpec("single-node",
                                                         point=(0.25,), fraction=0.0),
                           u="sin_pi", levels=2, norms=(H1,))
@@ -206,5 +234,6 @@ class TestPerturbedFormStudy:
 def test_exports_name_no_deleted_symbol():
     assert all(hasattr(nearproj, name) for name in nearproj.__all__)
     assert not {"run_perturbed_form_study", "REGULARITY_L2_RATE", "REGULARITY_H1_RATE",
-                "seminorm_exact"} & (set(nearproj.__all__) | set(vars(nearproj.study))
-                                     | set(vars(nearproj.norms)))
+                "seminorm_exact", "perturbed_form"} & (
+        set(nearproj.__all__) | set(vars(nearproj.study)) | set(vars(nearproj.norms))
+        | set(vars(nearproj.forms)))
