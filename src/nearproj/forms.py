@@ -6,14 +6,22 @@ vector.  A form with a finite delta is the paper's a_h^+ = a_h + h^delta (u, w):
 its matrix and load are those of its kind plus h^delta times the mass matrix
 and the mass load.
 
-A load samples u at the quadrature points of every element.  It does so in
-blocks of `space.BLOCK_ELEMENTS` elements, so its memory is one block's
-samples plus one (elements, n_local) array of element vectors, whatever the
-mesh size.
+Element matrices and loads are computed in blocks of `space.BLOCK_ELEMENTS`
+elements, so a load's memory is one block's samples of u plus one
+(elements, n_local) array of element vectors, whatever the mesh size.
+
+On a space derived from the space of a pair's first mesh
+(`space.derived_space`), a system starts from the first space's, which its
+last assembly of the same form (and u) left: only the entries of the DOFs
+that a differing element touches, the columns of the matrix and the rows of
+the load, are summed anew, over the elements that touch those DOFs and in
+the order of a full assembly.  So the system is the one a full assembly on
+the second mesh gives, and its rows of DOFs that no differing element
+touches are bitwise those of the first system.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -103,8 +111,40 @@ def _velocity(space, form):
     return v
 
 
-def _local_matrices(space, form, rule, V, G):
-    """Element matrices as geometry tensors contracted with reference tensors.
+def _system(space, key, part, splice):
+    """The matrix or load of `space`: `part(space, elements, dofs)` sums it
+    over `elements` for the free DOFs in the mask `dofs` (None: all).
+
+    A space that a space was derived from leaves its system in its `handoff`
+    under `key`.  A derived space takes it from its base, or assembles its
+    base's, and `splice`s in its part over its `recomputed_elements` for its
+    `recomputed_dofs`.
+    """
+    if space.base is None:
+        out = part(space, None, None)
+        if space.handoff is not None:
+            space.handoff[key] = out
+        return out
+    full = space.base.handoff.pop(key, None)
+    if full is None:
+        full = part(space.base, None, None)
+    dofs = space.recomputed_dofs[space.free_dofs]
+    return splice(full, part(space, space.recomputed_elements, dofs), dofs)
+
+
+def _per_element(space, elements, shape, compute):
+    """`compute(space, blk)` for each block `blk` of the elements `elements`
+    (None: all, in slices), as one (len(elements), *shape) array."""
+    n = space.mesh.n_elements if elements is None else elements.size
+    out = np.empty((n, *shape))
+    for blk in element_blocks(n):
+        out[blk] = compute(space, blk if elements is None else elements[blk])
+    return out
+
+
+def _local_matrices(space, form, rule, V, G, elems=slice(None)):
+    """Element matrices of the elements `elems` (a slice or an index array),
+    as geometry tensors contracted with reference tensors.
 
     On an affine simplex with J^{-1} = Jinv the stiffness matrix is
     sum_ab (det Jinv Jinv^T)_ab S_abij with S_abij = sum_q w_q G_qia G_qjb,
@@ -112,13 +152,14 @@ def _local_matrices(space, form, rule, V, G):
     T_aij = sum_q w_q V_qi G_qja (Kirby & Logg, ACM TOMS 32 (2006)).
     """
     mesh = space.mesh
-    m, d, nloc = mesh.n_elements, mesh.dimension, space.n_local
-    det = mesh.jacobian_dets
+    d, nloc = mesh.dimension, space.n_local
+    det = mesh.jacobian_dets[elems]
+    m = det.size
     w = rule.weights
     mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
     if form.kind == "mass":
         return det[:, None, None] * mass_ref
-    Jinv = mesh.inverse_jacobians
+    Jinv = mesh.inverse_jacobians[elems]
     S = np.einsum("q,qia,qjb->abij", w, G, G).reshape(d * d, nloc * nloc)
     geometry = det[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
     loc = (geometry.reshape(m, d * d) @ S).reshape(m, nloc, nloc)
@@ -129,16 +170,20 @@ def _local_matrices(space, form, rule, V, G):
     return loc
 
 
-def _scatter(space, local):
-    """Sum the element matrices into a CSC matrix over the free DOFs, numbered
-    in the order of `space.free_dofs`; constrained entries are dropped."""
+def _scatter(space, local, elements=None, columns=None):
+    """Sum the element matrices `local` of `elements` (None: all) into a CSC
+    matrix over the free DOFs, numbered in the order of `space.free_dofs`;
+    constrained entries are dropped, and so are the columns outside
+    `columns` (a mask over the free DOFs; None: every column is kept)."""
     nloc = space.n_local
     index = np.full(space.n_dofs, -1, dtype=np.int32)
     index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)
-    conn = index[space.element_dofs]
+    conn = index[space.element_dofs if elements is None else space.element_dofs[elements]]
     rows = np.repeat(conn, nloc, axis=1).ravel()
     cols = np.tile(conn, (1, nloc)).ravel()
     keep = (rows >= 0) & (cols >= 0)
+    if columns is not None:
+        keep &= columns[cols]
     # one compressed copy at a time keeps the peak of the scatter low
     rows = rows[keep]
     cols = cols[keep]
@@ -146,12 +191,28 @@ def _scatter(space, local):
                                    shape=(space.n_free, space.n_free)).tocsc()
 
 
+def _splice_columns(A, part, columns):
+    """A with the columns in `columns` taken from `part`.  Both hold every
+    entry of those columns: the sums of a column are computed one column at
+    a time, in the order of the column's entries, so they are the ones a
+    full scatter makes."""
+    data = A.data.copy()
+    data[np.repeat(columns, np.diff(A.indptr))] = part.data
+    return type(A)((data, A.indices, A.indptr), shape=A.shape)
+
+
 def assemble_matrix(space, form):
     """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs."""
     if form.kind == "adr" and not space.dirichlet:
         raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
     rule, V, G = _element_data(space, 2 * space.degree)
-    A = _scatter(space, _local_matrices(space, form, rule, V, G))
+
+    def part(sp, elements, columns):
+        local = _per_element(sp, elements, (sp.n_local,) * 2,
+                             lambda s, blk: _local_matrices(s, form, rule, V, G, blk))
+        return _scatter(sp, local, elements, columns)
+
+    A = _system(space, ("matrix", replace(form, delta=math.inf)), part, _splice_columns)
     if math.isfinite(form.delta):
         A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
     return A
@@ -160,27 +221,32 @@ def assemble_matrix(space, form):
 def assemble_load(space, form, u):
     """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u.
 
-    The element vectors are computed block by block (`element_blocks`) into
-    one (elements, n_local) array and summed into b by one bincount, so the
+    The element vectors are computed block by block into one
+    (elements, n_local) array and summed into b by one bincount, so the
     samples of u at the quadrature points are held for one block at a time.
     """
     if form.s == 1 and u.gradient is None:
         raise InvalidArgumentError(
             f"form kind {form.kind!r} requires a gradient for the projected function")
-    mesh = space.mesh
     rule, V, G = _element_data(space, 2 * space.degree + 4)
-    b_el = np.empty((mesh.n_elements, space.n_local))
-    for blk in element_blocks(mesh.n_elements):
-        b_el[blk] = _local_loads(space, form, u, rule, V, G, blk)
-    b = np.bincount(space.element_dofs.ravel(), weights=b_el.ravel(),
-                    minlength=space.n_dofs)[space.free_dofs]
+
+    def part(sp, elements, _rows):
+        b_el = _per_element(sp, elements, (sp.n_local,),
+                            lambda s, blk: _local_loads(s, form, u, rule, V, G, blk))
+        dofs = sp.element_dofs if elements is None else sp.element_dofs[elements]
+        return np.bincount(dofs.ravel(), weights=b_el.ravel(),
+                           minlength=sp.n_dofs)[sp.free_dofs]
+
+    b = _system(space, ("load", replace(form, delta=math.inf), u), part,
+                lambda full, new, rows: np.where(rows, new, full))
     if math.isfinite(form.delta):
         b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
     return b
 
 
 def _local_loads(space, form, u, rule, V, G, blk):
-    """Element load vectors (K, n_local) of the elements in the slice blk."""
+    """Element load vectors (K, n_local) of the elements blk (a slice or an
+    index array)."""
     mesh = space.mesh
     xq = physical_points(mesh.element_vertices[blk], rule.points)
     w = rule.weights

@@ -1,15 +1,21 @@
 """Simplicial meshes of [0,1]^d (d = 1, 2), node perturbations, mesh pairing.
 
 Meshes are immutable after construction: the coordinate and connectivity
-arrays are write-protected, and every operation returns a new mesh.  A mesh
-pair is a mesh and a copy of it with some nodes moved, so the two share one
-element array and are matched by index: element k is shared when none of its
-nodes moved.  A pair overlays its differing region once, on first use:
+arrays are write-protected, and every operation returns a new mesh.  A
+perturbation returns a copy with some nodes moved, which shares the element
+array and boundary nodes of the original and copies its per-element arrays
+(vertices, Jacobian determinants and inverses, measures, diameters); only the
+elements with a node that moved by more than COORD_TOL are recomputed, and
+checked for positive measure.  A mesh pair is a mesh and such a copy, matched
+by index: element k is shared when none of its nodes moved, by the same
+COORD_TOL rule, so a shared element has bitwise the same geometry in both
+meshes.  A pair overlays its differing region once, on first use:
 interval intersections in 1-D, fan triangles of clipped polygons in 2-D (no
 clip vertex is merged), each with its Jacobian determinant, and checks as it
 builds it that the fragments cover the differing region.
 """
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +31,32 @@ CONSERVATION_TOL = 1e-10   # overlay measure vs differing-region measure
 # A half-plane clip keeps the vertices inside and adds a crossing per change of
 # side, so m vertices become at most 3m/2 (3, 4, 6, 9) in any arithmetic.
 MAX_CLIP_VERTICES = 9
+
+
+# the per-element arrays of a mesh, in the order _geometry returns them
+_GEOMETRY = ("element_vertices", "jacobian_dets", "inverse_jacobians",
+             "element_measures", "element_diameters")
+
+
+def _geometry(nodes, elements):
+    """The per-element arrays (_GEOMETRY) of `elements`; raises
+    DegenerateMeshError if one of them has a nonpositive measure."""
+    d = nodes.shape[1]
+    verts = nodes[elements]                       # (m, d+1, d)
+    jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)   # (m, d, d)
+    det = np.linalg.det(jac) if d == 2 else jac[:, 0, 0]
+    if np.any(det <= 0.0):
+        raise DegenerateMeshError("element with nonpositive measure")
+    diam = np.zeros(len(verts))
+    for i in range(d + 1):
+        for j in range(i + 1, d + 1):
+            diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
+    return verts, det, np.linalg.inv(jac), det / (1.0 if d == 1 else 2.0), diam
+
+
+def _unmoved(nodes_a, nodes_b):
+    """Nodes whose coordinates agree to within COORD_TOL in every coordinate."""
+    return np.all(np.abs(nodes_a - nodes_b) <= COORD_TOL, axis=1)
 
 
 class Mesh:
@@ -52,30 +84,32 @@ class Mesh:
         self.nodes = nodes
         self.elements = elements
         self.boundary_nodes = frozenset(int(i) for i in boundary_nodes)
+        for name, arr in zip(_GEOMETRY, _geometry(nodes, elements)):
+            setattr(self, name, arr)
+        self._finish()
 
-        verts = nodes[elements]                       # (m, d+1, d)
-        jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)   # (m, d, d)
-        det = np.linalg.det(jac) if dimension == 2 else jac[:, 0, 0]
-        if np.any(det <= 0.0):
-            raise DegenerateMeshError("element with nonpositive measure")
-        self.element_vertices = verts
-        self.jacobian_dets = det
-        self.inverse_jacobians = np.linalg.inv(jac)
-        self.element_measures = det / (1.0 if dimension == 1 else 2.0)
-        self.element_diameters = self._diameters(verts)
+    def _finish(self):
+        """Set h and write-protect every array."""
         self.h = float(self.element_diameters.max())
-        for arr in (self.nodes, self.elements, self.element_vertices, self.jacobian_dets,
-                    self.inverse_jacobians, self.element_measures, self.element_diameters):
+        for arr in (self.nodes, self.elements,
+                    *(getattr(self, name) for name in _GEOMETRY)):
             arr.setflags(write=False)
 
-    @staticmethod
-    def _diameters(verts):
-        m, nv, _ = verts.shape
-        diam = np.zeros(m)
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
-        return diam
+    def _with_nodes(self, nodes):
+        """This mesh with its nodes at `nodes` (n_nodes, dimension): the same
+        elements and boundary nodes, and this mesh's per-element arrays except
+        on the elements with a node that moved by more than COORD_TOL (the
+        rule by which classify_pair shares elements), which are recomputed and
+        must keep a positive measure."""
+        out = copy.copy(self)
+        out.nodes = nodes
+        moved = np.flatnonzero(~_unmoved(self.nodes, nodes)[self.elements].all(axis=1))
+        for name, arr in zip(_GEOMETRY, _geometry(nodes, self.elements[moved])):
+            full = getattr(self, name).copy()
+            full[moved] = arr
+            setattr(out, name, full)
+        out._finish()
+        return out
 
     @property
     def n_nodes(self):
@@ -152,7 +186,7 @@ def perturb_node_nearest(mesh, point, displacement):
     nodes = mesh.nodes.copy()
     nodes[k] += disp
     try:
-        return Mesh(mesh.dimension, nodes, mesh.elements, mesh.boundary_nodes)
+        return mesh._with_nodes(nodes)
     except DegenerateMeshError as exc:
         raise DegenerateMeshError(
             f"displacement of node {k} inverts an incident element") from exc
@@ -174,7 +208,7 @@ def perturb_boundary_band(mesh, band_distance, displacement):
     nodes = mesh.nodes.copy()
     nodes[sel] += disp[None, :]
     try:
-        return Mesh(mesh.dimension, nodes, mesh.elements, mesh.boundary_nodes)
+        return mesh._with_nodes(nodes)
     except DegenerateMeshError as exc:
         raise DegenerateMeshError("band displacement inverts an element") from exc
 
@@ -182,7 +216,11 @@ def perturb_boundary_band(mesh, band_distance, displacement):
 @dataclass(frozen=True)
 class MeshPair:
     """A mesh and a copy with moved nodes, with their shared/differing
-    classification."""
+    classification.  A copy made by a perturbation holds the original's
+    per-element arrays on every shared element, so everything built on the
+    second mesh can start from what the first built and redo the differing
+    elements only: its space takes the first space's numbering and its
+    systems the first space's systems (`space.derived_space`)."""
 
     mesh_a: Mesh
     mesh_b: Mesh
@@ -231,8 +269,7 @@ def classify_pair(a, b, gamma_nominal):
     if a.n_nodes != b.n_nodes or not np.array_equal(a.elements, b.elements):
         raise InvalidArgumentError(
             "meshes of a pair must have as many nodes and the same element array")
-    unmoved = np.all(np.abs(a.nodes - b.nodes) <= COORD_TOL, axis=1)
-    shared = unmoved[a.elements].all(axis=1)
+    shared = _unmoved(a.nodes, b.nodes)[a.elements].all(axis=1)
     shared.setflags(write=False)
 
     diff_a = a.domain_measure - float(a.element_measures[shared].sum())

@@ -9,6 +9,7 @@ are affine, so physical gradients are reference gradients times J^{-1}, and
 evaluation contracts the coefficients with reference tables before mapping.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -80,11 +81,11 @@ def _dissection_order(mesh, element_dofs, dof_coords, free):
     A DOF belongs to the deepest tree node whose elements contain all elements
     that touch it: the separator of a group is what elements on both of its
     sides touch.  DOFs are listed in postorder, both halves before their
-    separator, and inside one node by coordinate, the last axis first: the
-    perturbations move nodes along x only, at fraction = 1/4 by less than half
-    the DOF spacing, so both spaces of such a pair get the same order and the
-    rounding of their shared rows stays alike.  1-D uses no level, since
-    coordinate order is already a band that fills nothing.
+    separator, and inside one node by coordinate, the last axis first.  The
+    space of a pair's second mesh takes the order of the first
+    (`derived_space`), so both systems of a pair are eliminated in the same
+    order for any displacement.  1-D uses no level, since coordinate order is
+    already a band that fills nothing.
     """
     d = mesh.dimension
     levels = 0 if d == 1 else max(0, round(math.log2(mesh.n_elements / LEAF_ELEMENTS)))
@@ -112,8 +113,25 @@ def _dissection_order(mesh, element_dofs, dof_coords, free):
     return idx[np.lexsort((*dof_coords[idx].T, node))]
 
 
+def _dof_coords(mesh, edges):
+    """The nodes, then the midpoint of each edge (end nodes `edges`)."""
+    nodes = mesh.nodes
+    return np.concatenate([nodes, 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])])
+
+
 class FeSpace:
-    """Lagrange space of degree r-1 in {1,2} over a mesh, with Dirichlet mask."""
+    """Lagrange space of degree r-1 in {1,2} over a mesh, with Dirichlet mask.
+
+    A space built on a mesh computes its numbering; one derived from the
+    space of a pair's first mesh (`derived_space`) takes it.  On a derived
+    space, `base` is that space, `recomputed_dofs` masks the DOFs that a
+    differing element of the pair touches and `recomputed_elements` lists
+    the elements that touch one of them: assembly sums anew only the entries
+    of those DOFs, over those elements (`forms`).  All three are None on a
+    space built on a mesh.  `handoff` holds the systems of the last
+    assemblies on a space that a space was derived from, for the derived
+    space to take (None: none was).
+    """
 
     def __init__(self, mesh, degree, dirichlet):
         if degree not in (1, 2):
@@ -121,13 +139,16 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         self.dirichlet = bool(dirichlet)
+        self.base = self.recomputed_dofs = self.recomputed_elements = None
+        self.handoff = None
 
         nn = mesh.n_nodes
         boundary = np.zeros(nn, dtype=bool)
         boundary[np.fromiter(mesh.boundary_nodes, dtype=np.int64)] = True
         if degree == 1:
             self.element_dofs = mesh.elements.copy()
-            self.dof_coords = mesh.nodes.copy()
+            self.edges = np.empty((0, 2), dtype=np.int64)
+            self.dof_coords = _dof_coords(mesh, self.edges)
         else:
             # one row per (element, local edge), element-major, keyed by its
             # sorted end nodes; np.unique numbers equal rows alike, and ranking
@@ -139,12 +160,12 @@ class FeSpace:
                                           return_index=True, return_inverse=True)
             rank = np.empty_like(first)
             rank[np.argsort(first)] = np.arange(first.size)
-            edges = ends[np.sort(first)]
-            mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+            self.edges = edges = ends[np.sort(first)]
             self.element_dofs = np.concatenate(
                 [mesh.elements, nn + rank[inverse].reshape(mesh.n_elements, -1)],
                 axis=1)
-            self.dof_coords = np.concatenate([mesh.nodes, mid], axis=0)
+            self.dof_coords = _dof_coords(mesh, edges)
+            mid = self.dof_coords[nn:]
             # a midpoint is constrained only if the edge itself lies on the
             # boundary; for unit-box meshes both endpoints on the boundary and
             # the midpoint on it imply that
@@ -159,8 +180,8 @@ class FeSpace:
                                            ~self.dirichlet_mask)
         self.n_free = int(self.free_dofs.size)
 
-        for arr in (self.element_dofs, self.dof_coords, self.dirichlet_mask,
-                    self.free_dofs):
+        for arr in (self.element_dofs, self.edges, self.dof_coords,
+                    self.dirichlet_mask, self.free_dofs):
             arr.setflags(write=False)
 
     @property
@@ -170,6 +191,30 @@ class FeSpace:
 
 def build_space(mesh, degree, dirichlet):
     return FeSpace(mesh, degree, dirichlet)
+
+
+def derived_space(space, pair):
+    """The space of pair.mesh_b with the numbering of `space`, a space over
+    pair.mesh_a: its element DOFs, Dirichlet mask and free DOFs in their
+    elimination order, with the DOF coordinates of mesh b.  The meshes share
+    their element array and boundary nodes, so a space built on mesh b would
+    number its DOFs alike, up to the elimination order.  Its systems start
+    from those of `space` (`forms`)."""
+    if space.mesh is not pair.mesh_a:
+        raise InvalidArgumentError("a space is derived from the space of the "
+                                   "first mesh of the pair")
+    out = copy.copy(space)
+    out.mesh = pair.mesh_b
+    out.dof_coords = _dof_coords(pair.mesh_b, space.edges)
+    out.base, out.handoff = space, None
+    out.recomputed_dofs = ~shared_dof_mask(pair, space)
+    out.recomputed_elements = np.flatnonzero(
+        out.recomputed_dofs[space.element_dofs].any(axis=1))
+    for arr in (out.dof_coords, out.recomputed_dofs, out.recomputed_elements):
+        arr.setflags(write=False)
+    if space.handoff is None:
+        space.handoff = {}
+    return out
 
 
 class FeFunction:

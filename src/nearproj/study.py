@@ -16,7 +16,7 @@ from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
                    perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
 from .projection import project
-from .space import build_space
+from .space import build_space, derived_space
 from .theory import RateInputs, observed_orders, predicted_sigma, predicted_sigma_prime
 
 SQRT2 = math.sqrt(2.0)
@@ -217,10 +217,16 @@ def _pair(cfg, level):
     return classify_pair(mesh_a, mesh_b, cfg.perturbation.gamma(cfg.dimension))
 
 
-def _projections(cfg, pair):
-    """Project u with a_h onto mesh a's space and with a_h^+ onto mesh b's."""
-    space_a = build_space(pair.mesh_a, cfg.degree, dirichlet=True)
-    space_b = build_space(pair.mesh_b, cfg.degree, dirichlet=True)
+def _spaces(pair, degree):
+    """Mesh a's space of `degree`, and mesh b's, derived from it."""
+    space_a = build_space(pair.mesh_a, degree, dirichlet=True)
+    return space_a, derived_space(space_a, pair)
+
+
+def _projections(cfg, spaces):
+    """Project u with a_h onto mesh a's space and with a_h^+ onto mesh b's,
+    whose system starts from mesh a's (`forms`)."""
+    space_a, space_b = spaces
     u = named_function(cfg.u)
     return (project(space_a, replace(cfg.form, delta=math.inf), u),
             project(space_b, cfg.form, u))
@@ -229,14 +235,14 @@ def _projections(cfg, pair):
 def build_level(cfg, level):
     """Mesh pair, spaces, and the two projections at one refinement level."""
     pair = _pair(cfg, level)
-    return (pair, *_projections(cfg, pair))
+    return (pair, *_projections(cfg, _spaces(pair, cfg.degree)))
 
 
 def run_projection_study(*cfgs):
     """One StudyResult per config, in order: rows of (h, cross-mesh norms,
     observed orders) plus theory predictions.  The configs share one pair
-    family, so each level builds one mesh pair and projects every config
-    onto it."""
+    family, so each level builds one mesh pair, one pair of spaces per
+    degree, and projects every config onto them."""
     if len({(c.dimension, c.n0, c.levels, c.perturbation) for c in cfgs}) != 1:
         raise InvalidArgumentError("a study runs one or more configs that share "
                                    "dimension, n0, levels and perturbation")
@@ -244,10 +250,13 @@ def run_projection_study(*cfgs):
     for level in range(cfgs[0].levels):
         pair = _pair(cfgs[0], level)
         h = pair.mesh_a.h
+        spaces = {}
         for cfg, cfg_rows in zip(cfgs, rows):
-            diff = CrossMeshDiff(*_projections(cfg, pair), pair)
+            if cfg.degree not in spaces:
+                spaces[cfg.degree] = _spaces(pair, cfg.degree)
+            diff = CrossMeshDiff(*_projections(cfg, spaces[cfg.degree]), pair)
             norm_values = {spec: cross_mesh_norm(diff, spec) for spec in cfg.norms}
-            del diff    # free this config's spaces before the next config projects
+            del diff    # free this config's projections before the next config projects
             last = cfg_rows[-1] if cfg_rows else None
             orders = {spec: float(observed_orders([last.h, h], [last.norm_values[spec], v])[0])
                       for spec, v in norm_values.items()

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from nearproj import (DegenerateMeshError, InvalidArgumentError, Mesh, build_space,
+from nearproj import (STIFFNESS, CrossMeshDiff, DegenerateMeshError,
+                      InvalidArgumentError, Mesh, NormSpec, assemble_matrix, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
-                      perturb_boundary_band, perturb_node_nearest)
+                      cross_mesh_norm, perturb_boundary_band, perturb_node_nearest,
+                      project)
+from nearproj.mesh import _GEOMETRY, COORD_TOL
 from nearproj.space import shared_dof_mask
+from nearproj.study import _spaces
 
 
 class TestUniformInterval:
@@ -94,6 +98,33 @@ class TestPerturbNodeNearest:
         m = build_uniform_interval(8)
         with pytest.raises(DegenerateMeshError):
             perturb_node_nearest(m, (0.25,), (2 * m.h,))
+
+    def test_inverting_displacement_raises_2d(self):
+        # node 6 sits at (1/4, 1/4); moved past x = 1/2 it inverts the
+        # triangles it shares with the node at (1/2, 1/4)
+        m = build_uniform_square(4)
+        with pytest.raises(DegenerateMeshError,
+                           match="displacement of node 6 inverts an incident element"):
+            perturb_node_nearest(m, (0.25, 0.25), (0.3, 0.0))
+
+    def test_move_below_coord_tol_keeps_every_element_shared(self, sin2d):
+        # mesh b reuses mesh a's per-element arrays, space and element
+        # matrices on exactly the elements that pair.shared marks: a node
+        # moved by less than COORD_TOL moves no element, so the level is a's
+        # bit for bit, and the cross norm's shared pass reads 0
+        m = build_uniform_square(4)
+        out = perturb_node_nearest(m, (0.25, 0.25), (COORD_TOL / 2, 0.0))
+        assert out.nodes[6, 0] != m.nodes[6, 0]
+        pair = classify_pair(m, out, 2.0)
+        assert pair.shared.all()
+        for name in _GEOMETRY:
+            assert np.array_equal(getattr(out, name), getattr(m, name)), name
+        space_a, space_b = _spaces(pair, 2)
+        assert (assemble_matrix(space_a, STIFFNESS)
+                != assemble_matrix(space_b, STIFFNESS)).nnz == 0
+        diff = CrossMeshDiff(project(space_a, STIFFNESS, sin2d),
+                             project(space_b, STIFFNESS, sin2d), pair)
+        assert cross_mesh_norm(diff, NormSpec(1, 2)) == 0.0
 
     def test_boundary_nearest_raises(self):
         m = build_uniform_interval(8)
