@@ -10,9 +10,9 @@ from .mesh import (Mesh, MeshPair, build_uniform_interval, build_uniform_square,
                    classify_pair, perturb_boundary_band, perturb_node_nearest)
 from .norms import (CrossMeshDiff, NormSpec, cross_mesh_norm, fe_norm,
                     sobolev_norm_exact_diff, support_measure)
-from .projection import project
+from .projection import project, project_pair
 from .quadrature import QuadratureRule, quadrature_rule
-from .space import (FeFunction, FeSpace, build_space, evaluate,
+from .space import (FeFunction, FeSpace, build_space, derived_space, evaluate,
                     interpolate_nodal, intersection_project)
 from .study import (PerturbationSpec, StudyConfig, StudyResult, StudyRow,
                     named_function, power_regularity, run_projection_study,

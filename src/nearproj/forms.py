@@ -11,17 +11,17 @@ elements, so a load's memory is one block's samples of u plus one
 (elements, n_local) array of element vectors, whatever the mesh size.
 
 On a space derived from the space of a pair's first mesh
-(`space.derived_space`), a system starts from the first space's, which its
-last assembly of the same form (and u) left: only the entries of the DOFs
-that a differing element touches, the columns of the matrix and the rows of
-the load, are summed anew, over the elements that touch those DOFs and in
-the order of a full assembly.  So the system is the one a full assembly on
-the second mesh gives, and its rows of DOFs that no differing element
-touches are bitwise those of the first system.
+(`space.derived_space`), a system starts from the first space's system of
+the same form (and u), which `projection.project_pair` passes as `start`:
+only the entries of the DOFs that a differing element touches, the columns
+of the matrix and the rows of the load, are summed anew, over the elements
+that touch those DOFs and in the order of a full assembly.  So the system is
+the one a full assembly on the second mesh gives, and its rows of DOFs that
+no differing element touches are bitwise those of the first system.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -111,25 +111,20 @@ def _velocity(space, form):
     return v
 
 
-def _system(space, key, part, splice):
+def _system(space, start, part, splice):
     """The matrix or load of `space`: `part(space, elements, dofs)` sums it
-    over `elements` for the free DOFs in the mask `dofs` (None: all).
-
-    A space that a space was derived from leaves its system in its `handoff`
-    under `key`.  A derived space takes it from its base, or assembles its
-    base's, and `splice`s in its part over its `recomputed_elements` for its
-    `recomputed_dofs`.
+    over `elements` for the free DOFs in the mask `dofs` (None: all).  A
+    derived space `splice`s its part over its `recomputed_elements` for its
+    `recomputed_dofs` into `start`, its base's system (None: assembled here).
     """
     if space.base is None:
-        out = part(space, None, None)
-        if space.handoff is not None:
-            space.handoff[key] = out
-        return out
-    full = space.base.handoff.pop(key, None)
-    if full is None:
-        full = part(space.base, None, None)
+        if start is not None:
+            raise InvalidArgumentError("a start system applies only to a derived space")
+        return part(space, None, None)
+    if start is None:
+        start = part(space.base, None, None)
     dofs = space.recomputed_dofs[space.free_dofs]
-    return splice(full, part(space, space.recomputed_elements, dofs), dofs)
+    return splice(start, part(space, space.recomputed_elements, dofs), dofs)
 
 
 def _per_element(space, elements, shape, compute):
@@ -201,8 +196,9 @@ def _splice_columns(A, part, columns):
     return type(A)((data, A.indices, A.indptr), shape=A.shape)
 
 
-def assemble_matrix(space, form):
-    """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs."""
+def assemble_matrix(space, form, start=None):
+    """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs; `start`: on a
+    derived space, its base's matrix of `form` without h^delta, or None."""
     if form.kind == "adr" and not space.dirichlet:
         raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
     rule, V, G = _element_data(space, 2 * space.degree)
@@ -212,18 +208,19 @@ def assemble_matrix(space, form):
                              lambda s, blk: _local_matrices(s, form, rule, V, G, blk))
         return _scatter(sp, local, elements, columns)
 
-    A = _system(space, ("matrix", replace(form, delta=math.inf)), part, _splice_columns)
+    A = _system(space, start, part, _splice_columns)
     if math.isfinite(form.delta):
         A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
     return A
 
 
-def assemble_load(space, form, u):
+def assemble_load(space, form, u, start=None):
     """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u.
 
     The element vectors are computed block by block into one
     (elements, n_local) array and summed into b by one bincount, so the
     samples of u at the quadrature points are held for one block at a time.
+    `start` is the base's load, as in `assemble_matrix`.
     """
     if form.s == 1 and u.gradient is None:
         raise InvalidArgumentError(
@@ -237,8 +234,7 @@ def assemble_load(space, form, u):
         return np.bincount(dofs.ravel(), weights=b_el.ravel(),
                            minlength=sp.n_dofs)[sp.free_dofs]
 
-    b = _system(space, ("load", replace(form, delta=math.inf), u), part,
-                lambda full, new, rows: np.where(rows, new, full))
+    b = _system(space, start, part, lambda full, new, rows: np.where(rows, new, full))
     if math.isfinite(form.delta):
         b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
     return b

@@ -220,7 +220,7 @@ class MeshPair:
     per-element arrays on every shared element, so everything built on the
     second mesh can start from what the first built and redo the differing
     elements only: its space takes the first space's numbering and its
-    systems the first space's systems (`space.derived_space`)."""
+    systems the first space's systems (`projection.project_pair`)."""
 
     mesh_a: Mesh
     mesh_b: Mesh

@@ -1,20 +1,38 @@
-"""Galerkin projection: solve a_h(r_h u - u, w_h) = 0 over the free DOFs."""
+"""Galerkin projection: solve a_h(r_h u - u, w_h) = 0 over the free DOFs by one
+sparse LU.  Assembly orders a system as `space.free_dofs`, by nested
+dissection, so SuperLU factorises it in that order (NATURAL)."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse.linalg
 
+from .errors import InvalidArgumentError
 from .forms import assemble_load, assemble_matrix
 from .space import FeFunction
 
 
-def project(space, form, u):
-    """Orthogonal projection of u onto the space with respect to the form,
-    by one sparse LU.  The system comes out of assembly in the
-    nested-dissection order of `space.free_dofs`, so SuperLU factorises it
-    in that order (NATURAL) without a column ordering of its own."""
-    A = assemble_matrix(space, form)
-    b = assemble_load(space, form, u)
+def _solve(space, A, b):
     coeffs = np.zeros(space.n_dofs)
-    coeffs[space.free_dofs] = scipy.sparse.linalg.splu(
-        A, permc_spec="NATURAL").solve(b)
+    coeffs[space.free_dofs] = scipy.sparse.linalg.splu(A, permc_spec="NATURAL").solve(b)
     return FeFunction(space, coeffs)
+
+
+def project(space, form, u):
+    """Orthogonal projection of u onto the space with respect to the form."""
+    return _solve(space, assemble_matrix(space, form), assemble_load(space, form, u))
+
+
+def project_pair(space_a, space_b, form, u):
+    """The projections (f_a, f_b) of u onto mesh a's space with a_h, `form`
+    without its h^delta term, and onto mesh b's space, derived from it, with
+    `form` (a_h^+).  Mesh b's system starts from mesh a's."""
+    if space_b.base is not space_a:
+        raise InvalidArgumentError("space_b must be derived from space_a")
+    form_a = replace(form, delta=math.inf)
+    A, b = assemble_matrix(space_a, form_a), assemble_load(space_a, form_a, u)
+    f_a = _solve(space_a, A, b)
+    A = assemble_matrix(space_b, form, start=A)    # drops mesh a's matrix
+    b = assemble_load(space_b, form, u, start=b)
+    return f_a, _solve(space_b, A, b)

@@ -127,10 +127,8 @@ class FeSpace:
     space, `base` is that space, `recomputed_dofs` masks the DOFs that a
     differing element of the pair touches and `recomputed_elements` lists
     the elements that touch one of them: assembly sums anew only the entries
-    of those DOFs, over those elements (`forms`).  All three are None on a
-    space built on a mesh.  `handoff` holds the systems of the last
-    assemblies on a space that a space was derived from, for the derived
-    space to take (None: none was).
+    of those DOFs, over those elements, on the base's system (`forms`,
+    `projection.project_pair`).  All three are None on a built space.
     """
 
     def __init__(self, mesh, degree, dirichlet):
@@ -140,7 +138,6 @@ class FeSpace:
         self.degree = degree
         self.dirichlet = bool(dirichlet)
         self.base = self.recomputed_dofs = self.recomputed_elements = None
-        self.handoff = None
 
         nn = mesh.n_nodes
         boundary = np.zeros(nn, dtype=bool)
@@ -199,21 +196,19 @@ def derived_space(space, pair):
     elimination order, with the DOF coordinates of mesh b.  The meshes share
     their element array and boundary nodes, so a space built on mesh b would
     number its DOFs alike, up to the elimination order.  Its systems start
-    from those of `space` (`forms`)."""
+    from those of `space` (`projection.project_pair`)."""
     if space.mesh is not pair.mesh_a:
         raise InvalidArgumentError("a space is derived from the space of the "
                                    "first mesh of the pair")
     out = copy.copy(space)
     out.mesh = pair.mesh_b
     out.dof_coords = _dof_coords(pair.mesh_b, space.edges)
-    out.base, out.handoff = space, None
+    out.base = space
     out.recomputed_dofs = ~shared_dof_mask(pair, space)
     out.recomputed_elements = np.flatnonzero(
         out.recomputed_dofs[space.element_dofs].any(axis=1))
     for arr in (out.dof_coords, out.recomputed_dofs, out.recomputed_elements):
         arr.setflags(write=False)
-    if space.handoff is None:
-        space.handoff = {}
     return out
 
 

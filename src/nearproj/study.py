@@ -6,7 +6,7 @@ the differing-region scaling gamma is well defined across a family.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +15,8 @@ from .forms import STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec
 from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
                    perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
-from .projection import project
+# the benchmark's tracer times the pair projection as `study.project`
+from .projection import project_pair as project
 from .space import build_space, derived_space
 from .theory import RateInputs, observed_orders, predicted_sigma, predicted_sigma_prime
 
@@ -223,19 +224,10 @@ def _spaces(pair, degree):
     return space_a, derived_space(space_a, pair)
 
 
-def _projections(cfg, spaces):
-    """Project u with a_h onto mesh a's space and with a_h^+ onto mesh b's,
-    whose system starts from mesh a's (`forms`)."""
-    space_a, space_b = spaces
-    u = named_function(cfg.u)
-    return (project(space_a, replace(cfg.form, delta=math.inf), u),
-            project(space_b, cfg.form, u))
-
-
 def build_level(cfg, level):
     """Mesh pair, spaces, and the two projections at one refinement level."""
     pair = _pair(cfg, level)
-    return (pair, *_projections(cfg, _spaces(pair, cfg.degree)))
+    return (pair, *project(*_spaces(pair, cfg.degree), cfg.form, named_function(cfg.u)))
 
 
 def run_projection_study(*cfgs):
@@ -250,11 +242,10 @@ def run_projection_study(*cfgs):
     for level in range(cfgs[0].levels):
         pair = _pair(cfgs[0], level)
         h = pair.mesh_a.h
-        spaces = {}
+        spaces = {degree: _spaces(pair, degree) for degree in {c.degree for c in cfgs}}
         for cfg, cfg_rows in zip(cfgs, rows):
-            if cfg.degree not in spaces:
-                spaces[cfg.degree] = _spaces(pair, cfg.degree)
-            diff = CrossMeshDiff(*_projections(cfg, spaces[cfg.degree]), pair)
+            u = named_function(cfg.u)
+            diff = CrossMeshDiff(*project(*spaces[cfg.degree], cfg.form, u), pair)
             norm_values = {spec: cross_mesh_norm(diff, spec) for spec in cfg.norms}
             del diff    # free this config's projections before the next config projects
             last = cfg_rows[-1] if cfg_rows else None
