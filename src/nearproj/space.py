@@ -17,8 +17,6 @@ import numpy as np
 from .errors import InvalidArgumentError, OutOfDomainError
 
 BARY_TOL = 1e-12
-# elements per group at which nested dissection stops splitting
-LEAF_ELEMENTS = 32
 # elements per block of a pass that samples every element at quadrature
 # points (loads, error norms, the shared-element pass): a block's samples
 # take a few MB, so they do not grow with the mesh
@@ -76,8 +74,13 @@ def _dissection_order(mesh, element_dofs, dof_coords, free):
     optimal fill.
 
     Each group of elements splits at its mean centroid, alternating the axis,
-    down to about LEAF_ELEMENTS elements per group; a split at the median rank
+    for ceil(log2(elements)) levels, which on a uniform square mesh leaves at
+    most one element per group (generalized nested dissection: Lipton, Rose &
+    Tarjan, SIAM J. Numer. Anal. 16 (1979) 346); a split at the median rank
     cuts zig-zag separators through cell pairs where a group has odd width.
+    P1 and P2 have no DOF inside an element, so every DOF lies on a
+    separator.
+
     A DOF belongs to the deepest tree node whose elements contain all elements
     that touch it: the separator of a group is what elements on both of its
     sides touch.  DOFs are listed in postorder, both halves before their
@@ -88,7 +91,7 @@ def _dissection_order(mesh, element_dofs, dof_coords, free):
     already a band that fills nothing.
     """
     d = mesh.dimension
-    levels = 0 if d == 1 else max(0, round(math.log2(mesh.n_elements / LEAF_ELEMENTS)))
+    levels = 0 if d == 1 else math.ceil(math.log2(mesh.n_elements))
     v = mesh.element_vertices
     # v.mean(axis=1) as one contiguous array per axis, which bincount reads
     # several times faster than a strided column

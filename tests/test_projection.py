@@ -103,11 +103,12 @@ class TestFill:
         lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
         return lu.L.nnz + lu.U.nnz, A.shape[0]
 
-    # at n = 100 the bisection meets groups of odd width, where a split at the
-    # median rank instead of the mean gives 5.15M
-    @pytest.mark.parametrize("n,bound", [(128, 6.5e6), (100, 4.8e6)])
-    def test_2d_p2_stiffness(self, n, bound):
-        nnz, _ = self._lu_nonzeros(build_uniform_square(n), 2)
+    # at P2 n = 100 the bisection meets groups of odd width, where a split at
+    # the median rank instead of the mean gives 4.65M
+    @pytest.mark.parametrize("degree,n,bound", [(2, 128, 5.2e6), (2, 100, 4.0e6),
+                                                 (2, 64, 1.05e6), (1, 128, 9.2e5)])
+    def test_2d_stiffness(self, degree, n, bound):
+        nnz, _ = self._lu_nonzeros(build_uniform_square(n), degree)
         assert nnz <= bound
 
     def test_1d_p2_stiffness_is_a_band(self):
