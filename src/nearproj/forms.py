@@ -6,9 +6,12 @@ vector.  A form with a finite delta is the paper's a_h^+ = a_h + h^delta (u, w):
 its matrix and load are those of its kind plus h^delta times the mass matrix
 and the mass load.
 
-Element matrices and loads are computed in blocks of `space.BLOCK_ELEMENTS`
-elements, so a load's memory is one block's samples of u plus one
-(elements, n_local) array of element vectors, whatever the mesh size.
+Element loads are computed in blocks of `space.BLOCK_ELEMENTS` elements, so
+a load's memory is one block's samples of u plus one (elements, n_local)
+array of element vectors, whatever the mesh size.  A matrix is summed in
+chunks of its columns with about `space.BLOCK_ELEMENTS` elements' worth of
+entries each (`_scatter`), so its memory is the compact CSC result, one
+chunk's element matrices and a few (elements, n_local) index arrays.
 
 On a space derived from the space of a pair's first mesh
 (`space.derived_space`), a system starts from the first space's system of
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import space as fe_space
 from .errors import InvalidArgumentError
 from .quadrature import quadrature_rule
 from .space import element_blocks, physical_points, shape_grads, shape_values
@@ -165,25 +169,87 @@ def _local_matrices(space, form, rule, V, G, elems=slice(None)):
     return loc
 
 
-def _scatter(space, local, elements=None, columns=None):
-    """Sum the element matrices `local` of `elements` (None: all) into a CSC
-    matrix over the free DOFs, numbered in the order of `space.free_dofs`;
-    constrained entries are dropped, and so are the columns outside
-    `columns` (a mask over the free DOFs; None: every column is kept)."""
+def _column_chunks(cols, n_free, budget):
+    """Contiguous chunks [c0, c1) of the columns 0 .. n_free - 1 that hold
+    about `budget` of the (element, column) pairs of `cols` each (an
+    (elements, n_local) array of columns; -1: not kept), as (c0, c1, e): e
+    holds the positions of the elements with a column in the chunk, in
+    ascending order.  Transposed, the arrays are a few rows of one entry per
+    element, which numpy passes over fastest.
+    """
+    m = len(cols)
+    at = np.ascontiguousarray(cols.T) + 1       # 0: not kept
+    per_column = np.bincount(at.ravel(), minlength=n_free + 1)[1:]
+    if per_column.sum() <= budget:
+        return [(0, n_free, np.arange(m))]
+    chunk = (np.cumsum(per_column) - per_column) // budget
+    touch = np.concatenate([[-1], chunk]).take(at)
+    # the (chunk, element) pairs as keys chunk * m + element, sorted and
+    # each once; most elements lie in one chunk, so a pair that repeats the
+    # first column's is dropped before the sort
+    sel = touch >= 0
+    sel[1:] &= touch[1:] != touch[0]
+    key = np.sort((touch * m + np.arange(m))[sel])
+    key = key[np.diff(key, prepend=-1) > 0]
+    chunk_of = key // m
+    elements = key - chunk_of * m
+    first = np.flatnonzero(chunk_of[1:] != chunk_of[:-1]) + 1
+    ids = chunk_of[np.concatenate([[0], first])]
+    return zip(np.searchsorted(chunk, ids).tolist(),
+               np.searchsorted(chunk, ids, side="right").tolist(),
+               np.split(elements, first))
+
+
+def _scatter(space, elements, columns, local):
+    """Sum the element matrices of `elements` (None: all) into a CSC matrix
+    over the free DOFs, numbered in the order of `space.free_dofs`;
+    `local(elems)` gives the element matrices of the elements `elems`, an
+    index array.  Constrained entries are dropped, and so are the columns
+    outside `columns` (a mask over the free DOFs; None: every column is kept).
+
+    The columns are summed in contiguous chunks of about
+    `space.BLOCK_ELEMENTS` elements' worth of entries, each from the element
+    matrices of the elements that touch it, in element order.  So a column
+    receives its (row, value) entries in the order of one scatter of the
+    whole mesh, and scipy's per-column sort and duplicate sum give it bit for
+    bit, while no array but the result holds more than a chunk's entries."""
     nloc = space.n_local
     index = np.full(space.n_dofs, -1, dtype=np.int32)
     index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)
-    conn = index[space.element_dofs if elements is None else space.element_dofs[elements]]
-    rows = np.repeat(conn, nloc, axis=1).ravel()
-    cols = np.tile(conn, (1, nloc)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    if columns is not None:
-        keep &= columns[cols]
-    # one compressed copy at a time keeps the peak of the scatter low
-    rows = rows[keep]
-    cols = cols[keep]
-    return scipy.sparse.coo_matrix((local.ravel()[keep], (rows, cols)),
-                                   shape=(space.n_free, space.n_free)).tocsc()
+    rows = index[space.element_dofs if elements is None else space.element_dofs[elements]]
+    cols = rows if columns is None else np.where((rows >= 0) & columns[rows], rows, -1)
+    # kept (element, column) pairs still to scatter
+    pairs = np.count_nonzero(cols >= 0)
+    indptr = np.zeros(space.n_free + 1, dtype=np.int64)
+    data, indices, nnz = np.empty(0), np.empty(0, dtype=np.int32), 0
+    for c0, c1, e in _column_chunks(cols, space.n_free, fe_space.BLOCK_ELEMENTS * nloc):
+        c = cols.take(e, axis=0) - c0
+        c[c >= c1 - c0] = -1
+        in_chunk = np.count_nonzero(c >= 0)
+        r = np.repeat(rows.take(e, axis=0), nloc, axis=1).ravel()
+        c = np.tile(c, (1, nloc)).ravel()
+        keep = (r >= 0) & (c >= 0)
+        values = local(e if elements is None else elements[e]).ravel()[keep]
+        block = scipy.sparse.coo_matrix((values, (r[keep], c[keep])),
+                                        shape=(space.n_free, c1 - c0)).tocsc()
+        pairs -= in_chunk
+        end = nnz + block.nnz
+        if end > data.size:
+            # room for the pairs to come at this chunk's nonzeros per pair,
+            # and 1/16 more; resize reallocates the one array rather than
+            # copying it into a second
+            size = end + int(pairs * block.nnz / in_chunk * 17 / 16)
+            data.resize(size, refcheck=False)
+            indices.resize(size, refcheck=False)
+        data[nnz:end] = block.data
+        indices[nnz:end] = block.indices
+        indptr[c0 + 1:c1 + 1] = np.diff(block.indptr)
+        nnz = end
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    np.cumsum(indptr, out=indptr)
+    return scipy.sparse.csc_matrix((data, indices, indptr),
+                                   shape=(space.n_free, space.n_free))
 
 
 def _splice_columns(A, part, columns):
@@ -204,9 +270,8 @@ def assemble_matrix(space, form, start=None):
     rule, V, G = _element_data(space, 2 * space.degree)
 
     def part(sp, elements, columns):
-        local = _per_element(sp, elements, (sp.n_local,) * 2,
-                             lambda s, blk: _local_matrices(s, form, rule, V, G, blk))
-        return _scatter(sp, local, elements, columns)
+        return _scatter(sp, elements, columns,
+                        lambda elems: _local_matrices(sp, form, rule, V, G, elems))
 
     A = _system(space, start, part, _splice_columns)
     if math.isfinite(form.delta):

@@ -1,6 +1,8 @@
 """Galerkin projection: solve a_h(r_h u - u, w_h) = 0 over the free DOFs by one
 sparse LU.  Assembly orders a system as `space.free_dofs`, by nested
-dissection, so SuperLU factorises it in that order (NATURAL)."""
+dissection, so SuperLU factorises it in that order (NATURAL), with panels of
+one column.  The matrix comes from a scatter in column chunks, so the LU of
+a large level sits on the compact matrix, not on a whole mesh's entries."""
 
 import math
 from dataclasses import replace
@@ -15,7 +17,11 @@ from .space import FeFunction
 
 def _solve(space, A, b):
     coeffs = np.zeros(space.n_dofs)
-    coeffs[space.free_dofs] = scipy.sparse.linalg.splu(A, permc_spec="NATURAL").solve(b)
+    # one-column panels: SuperLU's default panel of 20 columns allocates
+    # work arrays that sit on top of the factor at the memory peak of a
+    # large level; the fill is the same, only the rounding order changes
+    lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL", panel_size=1)
+    coeffs[space.free_dofs] = lu.solve(b)
     return FeFunction(space, coeffs)
 
 

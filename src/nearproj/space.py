@@ -18,8 +18,9 @@ from .errors import InvalidArgumentError, OutOfDomainError
 
 BARY_TOL = 1e-12
 # elements per block of a pass that samples every element at quadrature
-# points (loads, error norms, the shared-element pass): a block's samples
-# take a few MB, so they do not grow with the mesh
+# points (loads, error norms, the shared-element pass), and elements' worth
+# of entries per column chunk of a matrix scatter: a block's samples or a
+# chunk's entries take a few MB, so they do not grow with the mesh
 BLOCK_ELEMENTS = 2048
 
 

@@ -146,17 +146,19 @@ def test_start_needs_a_derived_space(pair1d8):
 
 def test_table_6_assembles_each_system_once_per_config_and_level(monkeypatch):
     # 2 configs x 6 levels: one full assembly on mesh a and one restricted to
-    # the recomputed elements on mesh b, for the matrix and for the load
+    # the recomputed elements on mesh b, for the matrix (one _scatter call)
+    # and for the load (one _per_element call)
     counts = {}
-    per_element = forms._per_element
 
-    def counted(space, elements, shape, compute):
-        key = ("matrix" if len(shape) == 2 else "load",
-               "full" if elements is None else "recomputed")
-        counts[key] = counts.get(key, 0) + 1
-        return per_element(space, elements, shape, compute)
+    def counting(system, wrapped):
+        def counted(space, elements, *args):
+            key = (system, "full" if elements is None else "recomputed")
+            counts[key] = counts.get(key, 0) + 1
+            return wrapped(space, elements, *args)
+        return counted
 
-    monkeypatch.setattr(forms, "_per_element", counted)
+    monkeypatch.setattr(forms, "_scatter", counting("matrix", forms._scatter))
+    monkeypatch.setattr(forms, "_per_element", counting("load", forms._per_element))
     assert cli.main(["table", "6", "--quiet"]) == 0
     assert counts == {("matrix", "full"): 12, ("matrix", "recomputed"): 12,
                       ("load", "full"): 12, ("load", "recomputed"): 12}

@@ -11,7 +11,7 @@ from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
                       fe_norm, perturb_node_nearest)
-from nearproj import space
+from nearproj import forms, space
 from nearproj.forms import _element_data, _local_matrices
 from nearproj.space import evaluate, physical_points
 
@@ -190,6 +190,56 @@ class TestAssembleMatrix:
         s = build_space(mesh2d4, 1, dirichlet=True)
         with pytest.raises(InvalidArgumentError):
             assemble_matrix(s, BilinearFormSpec("adr", velocity=(1.0,)))
+
+
+class TestChunkedScatter:
+    """`forms._scatter` sums the columns in chunks.  Each column gets the
+    same sequence of (row, value) entries as in one COO -> CSC conversion
+    of the whole mesh, so scipy's per-column sort and duplicate sum give the
+    same bits."""
+
+    @staticmethod
+    def one_conversion(s, elements, columns, local):
+        index = np.full(s.n_dofs, -1)
+        index[s.free_dofs] = np.arange(s.n_free)
+        conn = index[s.element_dofs[elements]]
+        rows = np.repeat(conn, s.n_local, axis=1).ravel()
+        cols = np.tile(conn, (1, s.n_local)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        if columns is not None:
+            keep &= columns[cols]
+        return scipy.sparse.coo_matrix(
+            (local[elements].ravel()[keep], (rows[keep], cols[keep])),
+            shape=(s.n_free, s.n_free)).tocsc()
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "natural"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_chunks_equal_one_conversion_bitwise(self, dim, degree, dirichlet,
+                                                 restricted, rng, monkeypatch):
+        # random element matrices: no symmetry, and no two entries alike, so
+        # a swapped or reordered entry changes the result
+        mesh = build_uniform_interval(64) if dim == 1 else build_uniform_square(6)
+        s = build_space(mesh, degree, dirichlet=dirichlet)
+        local = rng.standard_normal((mesh.n_elements, s.n_local, s.n_local))
+        elements, columns = None, None
+        if restricted:      # as on a derived space: some elements and columns
+            elements = np.flatnonzero(rng.random(mesh.n_elements) < 0.5)
+            columns = rng.random(s.n_free) < 0.5
+        chunks = []
+        monkeypatch.setattr(space, "BLOCK_ELEMENTS", 4)
+        got = forms._scatter(s, elements, columns,
+                             lambda e: chunks.append(e) or local[e])
+        want = self.one_conversion(
+            s, slice(None) if elements is None else elements, columns, local)
+        assert len(chunks) >= 3
+        assert got.data.view(np.int64).tobytes() == want.data.view(np.int64).tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        # the result owns its entries: no buffer of more than nnz behind them
+        for arr in (got.data, got.indices):
+            assert arr.base is None or arr.base.size == got.nnz
 
 
 class TestAssembleLoad:

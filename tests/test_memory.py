@@ -1,4 +1,5 @@
-"""Whole-mesh passes hold one block of samples, not the whole mesh's.
+"""Whole-mesh passes hold one block of samples or one chunk of matrix
+entries, not the whole mesh's.
 
 tracemalloc counts numpy's allocations, so these peaks depend on the array
 shapes alone, not on the machine.
@@ -8,9 +9,9 @@ import tracemalloc
 
 import pytest
 
-from nearproj import (NormSpec, STIFFNESS, assemble_load, build_space,
-                      build_uniform_square, interpolate_nodal, named_function,
-                      sobolev_norm_exact_diff, space)
+from nearproj import (NormSpec, STIFFNESS, assemble_load, assemble_matrix,
+                      build_space, build_uniform_square, interpolate_nodal,
+                      named_function, sobolev_norm_exact_diff, space)
 from nearproj.quadrature import quadrature_rule
 
 # bytes per quadrature point of one element that a pass may hold: its
@@ -18,6 +19,14 @@ from nearproj.quadrature import quadrature_rule
 BYTES_PER_POINT = 24 * 8
 # what does not grow with the block: element vectors, the load vector, tables
 FIXED_BYTES = 2 ** 20
+# bytes per entry of a chunk's element matrices that a matrix scatter may
+# hold: the matrices, their row and column numbers and mask, the kept
+# entries and their CSC conversion take about 48
+BYTES_PER_ENTRY = 64
+# the result is allocated at 17/16 of the nonzeros that the first chunk's
+# nonzeros per (element, column) pair predict, and cut to its nonzeros at
+# the end
+RESULT_SLACK = 1.125
 
 
 def _traced_peak(run):
@@ -46,3 +55,19 @@ def test_load_and_error_norm_peaks_scale_with_the_block(block, monkeypatch):
         bound = FIXED_BYTES + block * points * BYTES_PER_POINT
         assert bound < mesh.n_elements * points * BYTES_PER_POINT / 2
         assert _traced_peak(run) < bound
+
+
+@pytest.mark.parametrize("block", [512, 2048])
+def test_matrix_peak_is_the_result_and_one_chunk(block, monkeypatch):
+    # 8192 P2 elements: all their element matrices with their row and
+    # column numbers, as one scatter of the whole mesh holds them, take
+    # 18 MB at BYTES_PER_ENTRY, above either bound; the result takes 2.1 MB
+    monkeypatch.setattr(space, "BLOCK_ELEMENTS", block)
+    mesh = build_uniform_square(64)
+    s = build_space(mesh, 2, dirichlet=True)
+    A = assemble_matrix(s, STIFFNESS)
+    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    entries = s.n_local ** 2
+    bound = RESULT_SLACK * result + FIXED_BYTES + block * entries * BYTES_PER_ENTRY
+    assert bound < mesh.n_elements * entries * BYTES_PER_ENTRY / 2
+    assert _traced_peak(lambda: assemble_matrix(s, STIFFNESS)) < bound
