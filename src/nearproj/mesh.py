@@ -1,21 +1,20 @@
 """Simplicial meshes of [0,1]^d (d = 1, 2), node perturbations, mesh pairing.
 
 Meshes are immutable after construction: the coordinate and connectivity
-arrays are write-protected, and every operation returns a new mesh.  A
-perturbation returns a copy with some nodes moved, which shares the element
-array and boundary nodes of the original and copies its per-element arrays
-(vertices, Jacobian determinants and inverses, measures, diameters); only the
-elements with a node that moved by more than COORD_TOL are recomputed, and
-checked for positive measure.  A mesh pair is a mesh and such a copy, matched
-by index: element k is shared when none of its nodes moved, by the same
-COORD_TOL rule, so a shared element has bitwise the same geometry in both
-meshes.  A pair overlays its differing region once, on first use:
-interval intersections in 1-D, fan triangles of clipped polygons in 2-D (no
-clip vertex is merged), each with its Jacobian determinant, and checks as it
-builds it that the fragments cover the differing region.
+arrays are write-protected, and every operation returns a new mesh.  Every
+mesh is built by Mesh(), which computes each element's geometry in closed
+form, elementwise from its nodes.  A perturbation returns a new mesh with
+some nodes moved, built from the original's element array and boundary nodes;
+a move of at most COORD_TOL in every coordinate is not applied.  A mesh pair
+is a mesh and such a perturbation, matched by index: element k is shared when
+none of its nodes moved, so its nodes, and therefore its geometry, are
+bitwise the same in both meshes.  A pair overlays its differing region once,
+on first use: interval intersections in 1-D, fan triangles of clipped
+polygons in 2-D (no clip vertex is merged), each with its Jacobian
+determinant, and checks as it builds it that the fragments cover the
+differing region.
 """
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,18 +39,26 @@ _GEOMETRY = ("element_vertices", "jacobian_dets", "inverse_jacobians",
 
 def _geometry(nodes, elements):
     """The per-element arrays (_GEOMETRY) of `elements`; raises
-    DegenerateMeshError if one of them has a nonpositive measure."""
+    DegenerateMeshError if one of them has a nonpositive measure.  The
+    determinant and inverse of each Jacobian are closed forms: the length and
+    its reciprocal in 1-D, a e - b c and the adjugate divided by it in 2-D."""
     d = nodes.shape[1]
     verts = nodes[elements]                       # (m, d+1, d)
-    jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)   # (m, d, d)
-    det = np.linalg.det(jac) if d == 2 else jac[:, 0, 0]
-    if np.any(det <= 0.0):
-        raise DegenerateMeshError("element with nonpositive measure")
     diam = np.zeros(len(verts))
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
             diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
-    return verts, det, np.linalg.inv(jac), det / (1.0 if d == 1 else 2.0), diam
+    jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)   # (m, d, d)
+    if d == 1:
+        det, inv = jac[:, 0, 0], np.ones_like(jac)
+    else:
+        (a, b), (c, e) = jac.transpose(1, 2, 0)
+        det = a * e - b * c
+        inv = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    if np.any(det <= 0.0):
+        raise DegenerateMeshError("element with nonpositive measure")
+    inv /= det[:, None, None]                     # the adjugate over det
+    return verts, det, inv, det / (1.0 if d == 1 else 2.0), diam
 
 
 def _unmoved(nodes_a, nodes_b):
@@ -86,30 +93,9 @@ class Mesh:
         self.boundary_nodes = frozenset(int(i) for i in boundary_nodes)
         for name, arr in zip(_GEOMETRY, _geometry(nodes, elements)):
             setattr(self, name, arr)
-        self._finish()
-
-    def _finish(self):
-        """Set h and write-protect every array."""
         self.h = float(self.element_diameters.max())
-        for arr in (self.nodes, self.elements,
-                    *(getattr(self, name) for name in _GEOMETRY)):
+        for arr in (nodes, elements, *(getattr(self, name) for name in _GEOMETRY)):
             arr.setflags(write=False)
-
-    def _with_nodes(self, nodes):
-        """This mesh with its nodes at `nodes` (n_nodes, dimension): the same
-        elements and boundary nodes, and this mesh's per-element arrays except
-        on the elements with a node that moved by more than COORD_TOL (the
-        rule by which classify_pair shares elements), which are recomputed and
-        must keep a positive measure."""
-        out = copy.copy(self)
-        out.nodes = nodes
-        moved = np.flatnonzero(~_unmoved(self.nodes, nodes)[self.elements].all(axis=1))
-        for name, arr in zip(_GEOMETRY, _geometry(nodes, self.elements[moved])):
-            full = getattr(self, name).copy()
-            full[moved] = arr
-            setattr(out, name, full)
-        out._finish()
-        return out
 
     @property
     def n_nodes(self):
@@ -171,6 +157,14 @@ def _as_displacement(mesh, displacement):
     return d
 
 
+def _moved(mesh, nodes):
+    """`mesh` with its nodes at `nodes`, each node that moved by at most
+    COORD_TOL in every coordinate (the rule by which classify_pair shares
+    elements) put back, so a shared element has mesh's geometry bit for bit."""
+    nodes = np.where(_unmoved(mesh.nodes, nodes)[:, None], mesh.nodes, nodes)
+    return Mesh(mesh.dimension, nodes, mesh.elements, mesh.boundary_nodes)
+
+
 def perturb_node_nearest(mesh, point, displacement):
     """Translate the single node nearest to `point` (ties: lowest index).
 
@@ -186,7 +180,7 @@ def perturb_node_nearest(mesh, point, displacement):
     nodes = mesh.nodes.copy()
     nodes[k] += disp
     try:
-        return mesh._with_nodes(nodes)
+        return _moved(mesh, nodes)
     except DegenerateMeshError as exc:
         raise DegenerateMeshError(
             f"displacement of node {k} inverts an incident element") from exc
@@ -208,19 +202,19 @@ def perturb_boundary_band(mesh, band_distance, displacement):
     nodes = mesh.nodes.copy()
     nodes[sel] += disp[None, :]
     try:
-        return mesh._with_nodes(nodes)
+        return _moved(mesh, nodes)
     except DegenerateMeshError as exc:
         raise DegenerateMeshError("band displacement inverts an element") from exc
 
 
 @dataclass(frozen=True)
 class MeshPair:
-    """A mesh and a copy with moved nodes, with their shared/differing
-    classification.  A copy made by a perturbation holds the original's
-    per-element arrays on every shared element, so everything built on the
-    second mesh can start from what the first built and redo the differing
-    elements only: its space takes the first space's numbering and its
-    systems the first space's systems (`projection.project_pair`)."""
+    """A mesh and a perturbation of it, with their shared/differing
+    classification.  The two meshes share their element array, and a shared
+    element has bitwise the same nodes and geometry in both, so everything
+    built on the second mesh can start from what the first built and redo the
+    differing elements only: its space takes the first space's numbering and
+    its systems the first space's systems (`projection.project_pair`)."""
 
     mesh_a: Mesh
     mesh_b: Mesh

@@ -1,5 +1,6 @@
-"""Mesh b's level is derived from mesh a's: its mesh copies a's per-element
-arrays, its space takes a's numbering, and its system starts from a's system,
+"""Mesh b's level is derived from mesh a's: its mesh is built from a's element
+array with some nodes moved, so every shared element has a's geometry bit for
+bit; its space takes a's numbering, and its system starts from a's system,
 recomputing only the differing elements.  Each part must equal what building
 mesh b's level from scratch gives."""
 
@@ -50,6 +51,11 @@ def test_mesh_b_equals_the_mesh_built_from_its_nodes(table, index):
     fresh = _from_scratch(pair.mesh_b)
     for name in (*_GEOMETRY, "h"):
         assert np.array_equal(getattr(pair.mesh_b, name), getattr(fresh, name)), name
+    # the shared elements carry mesh a's geometry, sign of zero included
+    for name in _GEOMETRY:
+        a, b = getattr(pair.mesh_a, name), getattr(pair.mesh_b, name)
+        assert a[pair.shared].tobytes() == b[pair.shared].tobytes(), name
+    assert pair.mesh_b.elements is pair.mesh_a.elements
     assert not pair.shared.all()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nearproj import (CrossMeshDiff, FunctionSpec, NormSpec, build_space,
+from nearproj import (CrossMeshDiff, FunctionSpec, Mesh, NormSpec, build_space,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, interpolate_nodal, perturb_boundary_band,
                       perturb_node_nearest)
@@ -111,6 +111,30 @@ def test_clip_area_properties(pa, pb):
     assert area_ab >= -1e-12
     assert area_ab <= min(area_a, area_b) + 1e-9
     assert area_ab == pytest.approx(area_ba, abs=1e-9)
+
+
+EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+nudges = st.floats(-0.1, 0.1)
+
+
+@given(st.floats(0.125, 1.0), st.floats(0.0, 2 * math.pi),
+       st.tuples(coords, coords), st.tuples(*[nudges] * 6))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_geometry_matches_lapack(scale, angle, shift, nudge):
+    # a nudged, scaled, rotated and shifted equilateral triangle is shape
+    # regular (area >= diameter^2 / 5, so cond(J) <= 5) and of moderate size,
+    # and there the closed-form determinant and inverse agree with LAPACK's
+    # LU-based ones to a few ulps of the largest entry
+    c, s = math.cos(angle), math.sin(angle)
+    t = scale * (EQUILATERAL + np.reshape(nudge, (3, 2))) @ np.array([[c, s], [-s, c]]) + shift
+    diam = max(np.linalg.norm(t[i] - t[j]) for i, j in ((0, 1), (1, 2), (2, 0)))
+    assert _triangle(t)[1] >= diam ** 2 / 5
+    mesh = Mesh(2, t, [[0, 1, 2]], ())
+    jac = (t[1:] - t[0]).T
+    ulp = 16 * np.finfo(float).eps
+    det, inv = np.linalg.det(jac), np.linalg.inv(jac)
+    assert abs(mesh.jacobian_dets[0] - det) <= ulp * det
+    assert np.abs(mesh.inverse_jacobians[0] - inv).max() <= ulp * np.abs(inv).max()
 
 
 def test_clip_identical_triangles():

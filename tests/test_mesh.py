@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from nearproj import (STIFFNESS, CrossMeshDiff, DegenerateMeshError,
                       build_uniform_interval, build_uniform_square, classify_pair,
                       cross_mesh_norm, perturb_boundary_band, perturb_node_nearest,
                       project)
+from nearproj.cli import TABLES
 from nearproj.mesh import _GEOMETRY, COORD_TOL
 from nearproj.space import shared_dof_mask
-from nearproj.study import _spaces
+from nearproj.study import _pair, _spaces
 
 
 class TestUniformInterval:
@@ -108,13 +111,13 @@ class TestPerturbNodeNearest:
             perturb_node_nearest(m, (0.25, 0.25), (0.3, 0.0))
 
     def test_move_below_coord_tol_keeps_every_element_shared(self, sin2d):
-        # mesh b reuses mesh a's per-element arrays, space and element
-        # matrices on exactly the elements that pair.shared marks: a node
-        # moved by less than COORD_TOL moves no element, so the level is a's
-        # bit for bit, and the cross norm's shared pass reads 0
+        # mesh b reuses mesh a's space and element matrices on exactly the
+        # elements that pair.shared marks: a move of at most COORD_TOL is not
+        # applied, so the level is a's bit for bit, and the cross norm's
+        # shared pass reads 0
         m = build_uniform_square(4)
         out = perturb_node_nearest(m, (0.25, 0.25), (COORD_TOL / 2, 0.0))
-        assert out.nodes[6, 0] != m.nodes[6, 0]
+        assert out.nodes[6, 0] == m.nodes[6, 0]
         pair = classify_pair(m, out, 2.0)
         assert pair.shared.all()
         for name in _GEOMETRY:
@@ -250,3 +253,23 @@ class TestGammaScaling:
         assert min(consts) > 0
         assert max(consts) / min(consts) <= 2.0
 
+
+class TestExactGeometry:
+    """On the differing elements of these pairs the closed-form determinant
+    a e - b c equals that of the exact rational Jacobian of the nodes, and
+    each entry of the inverse is the exact inverse's entry correctly rounded."""
+
+    @pytest.mark.parametrize("table", [4, 6])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_differing_elements_match_the_rational_jacobian(self, table, level):
+        pair = _pair(TABLES[table].configs[0], level)
+        for mesh in (pair.mesh_a, pair.mesh_b):
+            for k in pair.differing_elements_a():
+                (x0, y0), (x1, y1), (x2, y2) = (
+                    map(Fraction, mesh.nodes[i]) for i in mesh.elements[k])
+                a, b, c, e = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+                det = a * e - b * c
+                assert Fraction(mesh.jacobian_dets[k]) == det, k
+                exact = [[float(e / det), float(-b / det)],
+                         [float(-c / det), float(a / det)]]
+                assert mesh.inverse_jacobians[k].tolist() == exact, k
