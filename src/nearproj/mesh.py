@@ -15,11 +15,13 @@ determinant, and checks as it builds it that the fragments cover the
 differing region.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import space as fe_space
 from .errors import DegenerateMeshError, GeometryError, InvalidArgumentError
 
 COORD_TOL = 1e-14          # per-coordinate tolerance for "identical point"
@@ -278,20 +280,40 @@ def classify_pair(a, b, gamma_nominal):
 
 def _overlap_pairs(mesh_a, ia, mesh_b, ib):
     """Pairs (row of ia, row of ib) of elements whose bounding boxes overlap,
-    in lexicographic order: one k-d tree query on the box centres (Bentley,
-    CACM 18 (1975) 509), then the box test in every coordinate."""
-    # imported here: scipy.spatial adds ~50 ms to `import nearproj`
-    from scipy.spatial import cKDTree
+    in lexicographic order: a uniform-grid bucket search on the box centres,
+    then the box test in every coordinate."""
+    if len(ia) == 0 or len(ib) == 0:
+        return np.empty((0, 2), dtype=np.intp)
     va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
     lo_a, hi_a = va.min(axis=1), va.max(axis=1) + BOX_TOL
     lo_b, hi_b = vb.min(axis=1), vb.max(axis=1) + BOX_TOL
     # boxes overlap iff their centres lie at most half their summed widths
     # apart in every coordinate, so a max-norm reach of half the widest box of
-    # each side, + BOX_TOL against rounding, returns a superset of the pairs
-    reach = ((hi_a - lo_a).max(initial=0.0) + (hi_b - lo_b).max(initial=0.0)) / 2 + BOX_TOL
-    near = cKDTree((lo_a + hi_a) / 2).sparse_distance_matrix(
-        cKDTree((lo_b + hi_b) / 2), reach, p=np.inf, output_type="ndarray")
-    i, j = near["i"], near["j"]
+    # each side, + BOX_TOL against rounding, keeps a superset of the pairs
+    reach = ((hi_a - lo_a).max() + (hi_b - lo_b).max()) / 2 + BOX_TOL
+    ca, cb = (lo_a + hi_a) / 2, (lo_b + hi_b) / 2
+    # cells of side `reach`: a centre within reach of another lies in one of
+    # the 3^d cells around it.  Cell coordinates start at 1, and a row of
+    # cells is 2 wider than the largest, so no neighbour's key wraps around.
+    origin = np.minimum(ca.min(axis=0), cb.min(axis=0))
+    cell_a = ((ca - origin) // reach).astype(np.int64) + 1
+    cell_b = ((cb - origin) // reach).astype(np.int64) + 1
+    stride = np.cumprod(np.append(1, np.maximum(cell_a.max(axis=0),
+                                                cell_b.max(axis=0))[:-1] + 2))
+    keys = cell_b @ stride
+    order = np.argsort(keys)
+    keys = keys[order]
+    i, j = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=mesh_a.dimension):
+        key = (cell_a + offset) @ stride
+        start = np.searchsorted(keys, key, side="left")
+        count = np.searchsorted(keys, key, side="right") - start
+        first = np.repeat(start - np.cumsum(count) + count, count)
+        i.append(np.repeat(np.arange(len(ca)), count))
+        j.append(order[first + np.arange(count.sum())])
+    i, j = np.concatenate(i), np.concatenate(j)
+    near = np.all(np.abs(ca[i] - cb[j]) <= reach, axis=1)
+    i, j = i[near], j[near]
     ok = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
     k = np.lexsort((j[ok], i[ok]))
     return np.column_stack([i[ok][k], j[ok][k]])
@@ -351,15 +373,25 @@ def _fragments(mesh_a, dia, mesh_b, dib):
     most CLIP_VERTEX_TOL in total are dropped, and so is a fan triangle of
     determinant exactly 0, which integrates to 0; no clip vertex is merged.
     A clip vertex rounded off its line can turn a fan triangle clockwise; its
-    negative measure cancels the overshoot of the next triangle.
+    negative measure cancels the overshoot of the next triangle.  The
+    candidate pairs are clipped in blocks of `space.BLOCK_ELEMENTS`; no
+    fragment depends on the rest of its block.
     """
     pairs = _overlap_pairs(mesh_a, dia, mesh_b, dib)
     ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
+    blocks = [_overlay_block(mesh_a, ia[s], mesh_b, ib[s])
+              for s in fe_space.element_blocks(len(ia)) or [slice(0, 0)]]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _overlay_block(mesh_a, ia, mesh_b, ib):
+    """_fragments of the candidate pairs (ia[k], ib[k])."""
     va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
     if mesh_a.dimension == 1:
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
         simplices, owner = np.stack([lo, hi], axis=1), np.arange(len(ia))
+        dets = hi[:, 0] - lo[:, 0]
     else:
         poly, n = _clip_triangles(va, vb)
         poly = poly.transpose(1, 2, 0)
@@ -368,7 +400,9 @@ def _fragments(mesh_a, dia, mesh_b, dib):
         simplices = np.stack([np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape),
                               poly[:, 1:-1], poly[:, 2:]], axis=2)[fan]
         owner = np.nonzero(fan)[0]
-    dets = np.linalg.det(simplices[:, 1:] - simplices[:, :1])
+        # a e - b c of the edge vectors, as mesh._geometry takes it
+        (a, b), (c, e) = (simplices[:, 1:] - simplices[:, :1]).transpose(1, 2, 0)
+        dets = a * e - b * c
     # a simplex measures det / d!, and d! = d for d = 1, 2
     measure = np.bincount(owner, dets, len(ia)) / mesh_a.dimension
     keep = ~(measure <= CLIP_VERTEX_TOL)[owner] & (dets != 0)

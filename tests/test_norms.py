@@ -514,7 +514,11 @@ def _cross_oracle(diff, spec, per_side=False):
     v, g = difference(
         *eval_at_physical(f_a.space, f_a.coeffs, ia, pts, gradients=grad),
         *eval_at_physical(f_b.space, f_b.coeffs, ib, pts, gradients=grad))
-    det = np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :])
+    edges = simplices[:, 1:, :] - simplices[:, :1, :]
+    if pair.mesh_a.dimension == 1:
+        det = edges[:, 0, 0]
+    else:
+        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
     total += squares(v, g, det)
     return float(np.sqrt(total))
 

@@ -18,6 +18,7 @@ from nearproj import (DegenerateMeshError, GeometryError, Mesh, PerturbationSpec
                       build_uniform_interval, build_uniform_square, classify_pair,
                       perturb_boundary_band, perturb_node_nearest)
 from nearproj import mesh as meshmod
+from nearproj import space as spacemod
 from nearproj.cli import BAND_2D
 from nearproj.mesh import (BOX_TOL, CLIP_VERTEX_TOL, _clip_triangles, _fragments,
                            _overlap_pairs)
@@ -51,6 +52,12 @@ def _clip_convex(subject, clipper):
     return out
 
 
+def _det(rows):
+    """a e - b c of [[a, b], [c, e]]."""
+    (a, b), (c, e) = rows
+    return a * e - b * c
+
+
 def _polygon_area(poly):
     s = 0.0
     n = len(poly)
@@ -82,7 +89,7 @@ def _oracle_fragments(mesh_a, dia, mesh_b, dib):
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
         intervals = np.stack([lo, hi], axis=1)
-        dets = np.linalg.det(intervals[:, 1:] - intervals[:, :1])
+        dets = (hi - lo)[:, 0]
         keep = ~(dets <= CLIP_VERTEX_TOL)
         return (intervals[keep], ia[keep], ib[keep], dets[keep],
                 float((hi - lo)[keep].sum()))
@@ -91,7 +98,7 @@ def _oracle_fragments(mesh_a, dia, mesh_b, dib):
     for i, j, tri_a, tri_b in zip(ia, ib, va.tolist(), vb.tolist()):
         poly = _clip_convex(tri_a, tri_b)
         fan = [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
-        fan_dets = [np.linalg.det(np.subtract(t[1:], t[0])) for t in fan]
+        fan_dets = [_det(np.subtract(t[1:], t[0]).tolist()) for t in fan]
         if sum(fan_dets) / 2 <= CLIP_VERTEX_TOL:
             continue
         covered += _polygon_area(poly)
@@ -185,6 +192,73 @@ def test_overlay_of_study_pairs_matches_oracle(perturbation):
     pair = classify_pair(m, perturbation.apply(m), 1.0)
     dia = pair.differing_elements_a()
     assert_matches_oracle(m, dia, pair.mesh_b, dia)
+
+
+@given(triangle_soups, triangle_soups)
+@settings(max_examples=200, deadline=None)
+def test_fragment_determinants_match_lapack(ta, tb):
+    # the closed form a e - b c is within an ulp of |a e| + |b c|; LAPACK's
+    # det is sign * exp(logdet), whose rounding grows with |ln det| (the
+    # closed form's, which is never 0: such fan triangles are dropped)
+    a, b = _triangle_mesh(ta), _triangle_mesh(tb)
+    assume(a is not None and b is not None)
+    simplices, *_, dets = _fragments(a, np.arange(a.n_elements), b, np.arange(b.n_elements))
+    edges = simplices[:, 1:] - simplices[:, :1]
+    scale = np.abs(edges[:, 0, 0] * edges[:, 1, 1]) + np.abs(edges[:, 0, 1] * edges[:, 1, 0])
+    lapack = np.linalg.det(edges)
+    assert np.all(np.abs(dets - lapack)
+                  <= 4 * np.spacing(scale) * (1 + np.abs(np.log(np.abs(dets)))))
+
+
+# -- the candidate pairs and the blocks ---------------------------------------
+
+@st.composite
+def moved_meshes(draw):
+    """Two uniform meshes (n 2-8) with every node moved by up to 0.4 h in each
+    coordinate, and a random subset of the elements of each."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = build_uniform_interval(n) if dim == 1 else build_uniform_square(n)
+    meshes = []
+    for _ in range(2):
+        move = draw(st.floats(0.0, 0.4)) * m.h * rng.uniform(-1.0, 1.0, m.nodes.shape)
+        try:
+            meshes.append(Mesh(dim, m.nodes + move, m.elements, ()))
+        except DegenerateMeshError:
+            assume(False)
+    a, b = meshes
+    return a, np.flatnonzero(rng.random(m.n_elements) < 0.7), \
+        b, np.flatnonzero(rng.random(m.n_elements) < 0.7)
+
+
+@given(moved_meshes())
+@settings(max_examples=200, deadline=None)
+def test_overlap_pairs_of_moved_meshes_match_dense_pairs(case):
+    assert_same_bits(_overlap_pairs(*case), _dense_overlap_pairs(*case))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_overlap_pairs_of_identical_meshes_are_empty(dim):
+    # fraction = 0 moves no node, so no element differs
+    m = build_uniform_interval(8) if dim == 1 else build_uniform_square(8)
+    pair = classify_pair(m, perturb_node_nearest(m, (0.5,) * dim, (0.0,) * dim), 1.0)
+    dia = pair.differing_elements_a()
+    assert len(dia) == 0
+    assert_same_bits(_overlap_pairs(m, dia, pair.mesh_b, dia), np.empty((0, 2), np.intp))
+
+
+def test_fragments_do_not_depend_on_the_block_size(monkeypatch):
+    # one block of all 2,243 candidate pairs, then a block per pair
+    m = build_uniform_square(16)
+    pair = classify_pair(m, BAND_2D.apply(m), 1.0)
+    dia = pair.differing_elements_a()
+    monkeypatch.setattr(spacemod, "BLOCK_ELEMENTS",
+                        len(_overlap_pairs(m, dia, pair.mesh_b, dia)))
+    whole = _fragments(m, dia, pair.mesh_b, dia)
+    monkeypatch.setattr(spacemod, "BLOCK_ELEMENTS", 1)
+    for x, y in zip(_fragments(m, dia, pair.mesh_b, dia), whole, strict=True):
+        assert_same_bits(x, y)
 
 
 # -- one overlay per pair -----------------------------------------------------
