@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, InvalidArgumentError, NearprojError
 from .forms import MASS, STIFFNESS, BilinearFormSpec
+from .mesh import finite_point
 from .norms import NormSpec
 from .study import (PerturbationSpec, StudyConfig, named_function,
                     predicted_order_for_norm, run_projection_study,
@@ -349,6 +350,12 @@ def parse_study_config(path):
     def coordinates(text):
         return _floats(text, dimension)
 
+    def point(text):
+        # checked here, so a non-finite point is named at its own line
+        values = coordinates(text)
+        finite_point(values)
+        return values
+
     degree = get("degree", int, required=True)
     levels = get("levels", int, required=True)
     n0 = get("n0", int)
@@ -363,7 +370,7 @@ def parse_study_config(path):
         form = get(key, lambda text: replace(form, **{key: convert(text)}), form)
     try:
         pert = PerturbationSpec(get("perturbation", required=True),
-                                point=get("point", coordinates),
+                                point=get("point", point),
                                 fraction=get("fraction", float, 0.25))
         pert.check_dimension(dimension)
     except InvalidArgumentError as exc:

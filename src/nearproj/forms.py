@@ -21,13 +21,15 @@ of the matrix and the rows of the load, are summed anew, over the elements
 that touch those DOFs and in the order of a full assembly.  So the system is
 the one a full assembly on the second mesh gives, and its rows of DOFs that
 no differing element touches are bitwise those of the first system.
+
+scipy is imported by `_scatter`, at the first assembly, not with this
+module: a process that assembles no system does not load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import space as fe_space
 from .errors import InvalidArgumentError
@@ -213,6 +215,9 @@ def _scatter(space, elements, columns, local):
     receives its (row, value) entries in the order of one scatter of the
     whole mesh, and scipy's per-column sort and duplicate sum give it bit for
     bit, while no array but the result holds more than a chunk's entries."""
+    # imported here, so a process that assembles no system never loads scipy
+    import scipy.sparse
+
     nloc = space.n_local
     index = np.full(space.n_dofs, -1, dtype=np.int32)
     index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)

@@ -167,13 +167,22 @@ def _moved(mesh, nodes):
     return Mesh(mesh.dimension, nodes, mesh.elements, mesh.boundary_nodes)
 
 
+def finite_point(point):
+    """`point` as a 1-D float array; a coordinate that is not finite is an
+    InvalidArgumentError (no node is nearest to it)."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    if not np.isfinite(point).all():
+        raise InvalidArgumentError(f"point must be finite, got {tuple(point.tolist())}")
+    return point
+
+
 def perturb_node_nearest(mesh, point, displacement):
     """Translate the single node nearest to `point` (ties: lowest index).
 
     The nearest node must be interior, and the displacement must keep every
     incident element at positive measure.
     """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
+    point = finite_point(point)
     disp = _as_displacement(mesh, displacement)
     dist2 = np.sum((mesh.nodes - point[None, :]) ** 2, axis=1)
     k = int(np.argmin(dist2))

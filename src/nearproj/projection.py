@@ -2,13 +2,14 @@
 sparse LU.  Assembly orders a system as `space.free_dofs`, by nested
 dissection, so SuperLU factorises it in that order (NATURAL), with panels of
 one column.  The matrix comes from a scatter in column chunks, so the LU of
-a large level sits on the compact matrix, not on a whole mesh's entries."""
+a large level sits on the compact matrix, not on a whole mesh's entries.
+`_solve` imports scipy.sparse.linalg at the first solve, not this module, so
+a process that solves no system does not load scipy.linalg."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import InvalidArgumentError
 from .forms import assemble_load, assemble_matrix
@@ -16,6 +17,9 @@ from .space import FeFunction
 
 
 def _solve(space, A, b):
+    # imported here, so a process that solves no system never loads scipy.linalg
+    import scipy.sparse.linalg
+
     coeffs = np.zeros(space.n_dofs)
     # one-column panels: SuperLU's default panel of 20 columns allocates
     # work arrays that sit on top of the factor at the memory peak of a

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .forms import STIFFNESS, ZERO, BilinearFormSpec, FunctionSpec
 from .mesh import (build_uniform_interval, build_uniform_square, classify_pair,
-                   perturb_boundary_band, perturb_node_nearest)
+                   finite_point, perturb_boundary_band, perturb_node_nearest)
 from .norms import CrossMeshDiff, NormSpec, cross_mesh_norm, sobolev_norm_exact_diff
 # the benchmark's tracer times the pair projection as `study.project`
 from .projection import project_pair as project
@@ -100,6 +100,8 @@ class PerturbationSpec:
         if self.kind != "single-node" and self.point is not None:
             raise InvalidArgumentError(f"a point applies only to a single-node "
                                        f"perturbation, not to {self.kind}")
+        if self.point is not None:
+            finite_point(self.point)
         if not math.isfinite(self.fraction):
             raise InvalidArgumentError(f"fraction must be finite, got {self.fraction}")
 

@@ -164,6 +164,26 @@ class TestCmdStudy:
         assert str(err.value) == (f"{path}:7: bad value for 'point': expected 2 "
                                   f"components, got 1")
 
+    @pytest.mark.parametrize("dimension,point,shown", [(2, "nan, 0.2", "(nan, 0.2)"),
+                                                       (1, "inf", "(inf,)")])
+    def test_non_finite_point_is_reported_at_the_point_line(self, tmp_path, capsys,
+                                                            dimension, point, shown):
+        text = TABLE2_CONFIG.replace("dimension = 1", f"dimension = {dimension}")
+        text = text.replace("point = 0.25", f"point = {point}")
+        if dimension == 2:
+            text = text.replace("u = sin_pi", "u = sin_pi_2d")
+        path = write(tmp_path, text)
+        message = f"point must be finite, got {shown}"
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(path)
+        assert (err.value.key, err.value.line) == ("point", 7)
+        assert str(err.value) == f"{path}:7: bad value for 'point': {message}"
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"study.cfg:7: bad value for 'point': {message}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_key_set_twice_is_rejected_at_its_second_line(self, tmp_path, capsys):
         path = write(tmp_path, TABLE2_CONFIG.replace("levels = 6", "levels = 2\nlevels = 3"))
         with pytest.raises(ConfigError) as err:

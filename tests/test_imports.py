@@ -4,7 +4,11 @@ linter in the toolchain, this catches the import a refactor leaves behind.
 
 Of scipy, the library uses only its sparse matrices and sparse LU: no module
 imports scipy.special or scipy.spatial, and a run that reproduces the paper's
-tables loads neither.
+tables loads neither.  scipy is imported in two functions only, never at
+module level: `forms._scatter` imports scipy.sparse and `projection._solve`
+scipy.sparse.linalg.  So `import nearproj`, `nearproj --help`, `nearproj
+predict` and a command that exits 2 on its arguments load no scipy module,
+and a command that solves loads it at its first assembly.
 """
 
 import ast
@@ -48,17 +52,19 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == {"replace": 2}
 
 
+def _import_names(node):
+    """The modules that `node`, if it is an absolute import statement, names,
+    with `from p import m` counted as both p and p.m."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    return set()
+
+
 def _imported_modules(source):
-    """Every module an import statement anywhere in `source` names, with
-    `from p import m` counted as both p and p.m."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module)
-            names.update(f"{node.module}.{alias.name}" for alias in node.names)
-    return names
+    """Every module an import statement anywhere in `source` names."""
+    return set().union(*map(_import_names, ast.walk(ast.parse(source))))
 
 
 def _imports_unused_scipy(source):
@@ -105,3 +111,80 @@ def test_a_run_loads_neither_scipy_special_nor_spatial():
     assert ast.literal_eval(out.stdout.strip()) == {
         "import nearproj": [], "nearproj table 1": [], "nearproj table 6": [],
         "nearproj regularity --p 3 --levels 5": []}
+
+
+def _scipy_imports(source):
+    """(the function that holds it, the module it names) for each import of
+    scipy in `source`; the function is None for an import that runs when the
+    module is imported, at module level or in a class body."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            found.extend((function, name) for name in _import_names(child)
+                         if name == "scipy" or name.startswith("scipy."))
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if function is None else f"{function}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: (item[0] or "", item[1]))
+
+
+def test_scipy_is_imported_only_where_a_system_is_assembled():
+    found = {path.name: _scipy_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "forms.py": [("_scatter", "scipy.sparse")],
+        "projection.py": [("_solve", "scipy.sparse.linalg")]}
+
+
+def test_a_module_level_scipy_import_is_found():
+    source = ("import numpy\n"
+              "import scipy.sparse\n"
+              "class C:\n"
+              "    from scipy import linalg\n"
+              "    def m(self):\n"
+              "        import scipy.sparse.linalg\n"
+              "def f():\n"
+              "    def g():\n"
+              "        from scipy.sparse import csc_matrix\n")
+    assert _scipy_imports(source) == [
+        (None, "scipy"), (None, "scipy.linalg"), (None, "scipy.sparse"),
+        ("f.g", "scipy.sparse"), ("f.g", "scipy.sparse.csc_matrix"),
+        ("m", "scipy.sparse.linalg")]
+
+
+LAZY_RUN = """
+import contextlib, io, sys
+import nearproj
+from nearproj import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import nearproj": scipy_loaded()}
+for argv in (["--help"],
+             ["predict", "--gamma", "1", "--eta", "inf", "--delta", "inf", "-s", "0", "-r", "2"],
+             ["table", "9"], ["table", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main(argv)
+    loaded["nearproj " + " ".join(argv)] = (status, scipy_loaded())
+print(loaded)
+"""
+
+
+def test_scipy_loads_only_when_a_system_is_assembled():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", LAZY_RUN], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded = ast.literal_eval(out.stdout.strip())
+    solved = loaded.pop("nearproj table 1")
+    assert loaded == {
+        "import nearproj": [], "nearproj --help": (0, []),
+        "nearproj predict --gamma 1 --eta inf --delta inf -s 0 -r 2": (0, []),
+        "nearproj table 9": (2, [])}
+    assert solved[0] == 0
+    assert "scipy.sparse.linalg" in solved[1]

@@ -134,6 +134,16 @@ class TestPerturbNodeNearest:
         with pytest.raises(InvalidArgumentError):
             perturb_node_nearest(m, (0.0,), (m.h / 4,))
 
+    @pytest.mark.parametrize("build,point,shown", [
+        (build_uniform_square, (np.nan, 0.2), "(nan, 0.2)"),
+        (build_uniform_interval, (np.inf,), "(inf,)")], ids=["nan-2d", "inf-1d"])
+    def test_non_finite_point_raises(self, build, point, shown):
+        # argmin over NaN distances would pick node 0, a boundary node
+        m = build(8)
+        with pytest.raises(InvalidArgumentError) as err:
+            perturb_node_nearest(m, point, np.zeros(m.dimension))
+        assert str(err.value) == f"point must be finite, got {shown}"
+
     def test_shape_regularity_preserved(self):
         m = build_uniform_square(8)
         out = perturb_node_nearest(m, (0.25, 0.25), (m.h / 4, 0.0))

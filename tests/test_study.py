@@ -68,6 +68,12 @@ class TestRunProjectionStudy:
         with pytest.raises(InvalidArgumentError, match="requires a point"):
             PerturbationSpec("single-node")
 
+    def test_non_finite_point_rejected(self):
+        # the nearest node to a NaN point would be node 0, a boundary node
+        with pytest.raises(InvalidArgumentError) as err:
+            PerturbationSpec("single-node", point=(math.nan, 0.2))
+        assert str(err.value) == "point must be finite, got (nan, 0.2)"
+
     def test_repeated_norm_rejected(self):
         # two entries of one norm would append to one column of values
         for norms in ((L2, L2), (H1, L2, NormSpec(1, 2))):
