@@ -7,11 +7,13 @@ its matrix and load are those of its kind plus h^delta times the mass matrix
 and the mass load.
 
 Element loads are computed in blocks of `space.BLOCK_ELEMENTS` elements, so
-a load's memory is one block's samples of u plus one (elements, n_local)
-array of element vectors, whatever the mesh size.  A matrix is summed in
-chunks of its columns with about `space.BLOCK_ELEMENTS` elements' worth of
-entries each (`_scatter`), so its memory is the compact CSC result, one
-chunk's element matrices and a few (elements, n_local) index arrays.
+a load's memory is one block's geometry and samples of u plus one
+(elements, n_local) array of element vectors, whatever the mesh size.  A
+matrix is summed in chunks of its columns with about `space.BLOCK_ELEMENTS`
+elements' worth of entries each (`_scatter`), so its memory is the compact
+CSC result, one chunk's geometry and element matrices and a few
+(elements, n_local) index arrays.  Each block or chunk computes the geometry
+of its elements once (`Mesh.geometry`).
 
 On a space derived from the space of a pair's first mesh
 (`space.derived_space`), a system starts from the first space's system of
@@ -152,18 +154,16 @@ def _local_matrices(space, form, rule, V, G, elems=slice(None)):
     and the advection matrix sum_a (det Jinv v)_a T_aij with
     T_aij = sum_q w_q V_qi G_qja (Kirby & Logg, ACM TOMS 32 (2006)).
     """
-    mesh = space.mesh
-    d, nloc = mesh.dimension, space.n_local
-    det = mesh.jacobian_dets[elems]
+    d, nloc = space.mesh.dimension, space.n_local
+    _, det, Jinv = space.mesh.geometry(elems)
     m = det.size
     w = rule.weights
     mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
     if form.kind == "mass":
         return det[:, None, None] * mass_ref
-    Jinv = mesh.inverse_jacobians[elems]
     S = np.einsum("q,qia,qjb->abij", w, G, G).reshape(d * d, nloc * nloc)
-    geometry = det[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
-    loc = (geometry.reshape(m, d * d) @ S).reshape(m, nloc, nloc)
+    tensor = det[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
+    loc = (tensor.reshape(m, d * d) @ S).reshape(m, nloc, nloc)
     if form.kind == "adr":
         T = np.einsum("q,qi,qja->aij", w, V, G).reshape(d, nloc * nloc)
         adv = ((det[:, None] * (Jinv @ _velocity(space, form))) @ T).reshape(loc.shape)
@@ -314,7 +314,8 @@ def _local_loads(space, form, u, rule, V, G, blk):
     """Element load vectors (K, n_local) of the elements blk (a slice or an
     index array)."""
     mesh = space.mesh
-    xq = physical_points(mesh.element_vertices[blk], rule.points)
+    verts, det, Jinv = mesh.geometry(blk)
+    xq = physical_points(verts, rule.points)
     w = rule.weights
     flat = xq.reshape(-1, mesh.dimension)
     # b_ei = det_e sum_q w_q (s_q V_qi + sum_a r_qa G_qia): s are the value
@@ -328,9 +329,9 @@ def _local_loads(space, form, u, rule, V, G, blk):
         gu = np.asarray(u.gradient(flat), dtype=float).reshape(xq.shape)
         if form.kind == "adr":
             samples -= gu @ _velocity(space, form)
-        mapped = (gu @ mesh.inverse_jacobians[blk].transpose(0, 2, 1)) * w[:, None]
+        mapped = (gu @ Jinv.transpose(0, 2, 1)) * w[:, None]
         b_el = mapped.reshape(len(xq), -1) @ G.transpose(0, 2, 1).reshape(
             -1, space.n_local)
     b_el = b_el + (samples * w) @ V
-    b_el *= mesh.jacobian_dets[blk, None]
+    b_el *= det[:, None]
     return b_el

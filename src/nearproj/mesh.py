@@ -1,9 +1,13 @@
 """Simplicial meshes of [0,1]^d (d = 1, 2), node perturbations, mesh pairing.
 
 Meshes are immutable after construction: the coordinate and connectivity
-arrays are write-protected, and every operation returns a new mesh.  Every
-mesh is built by Mesh(), which computes each element's geometry in closed
-form, elementwise from its nodes.  A perturbation returns a new mesh with
+arrays are write-protected, and every operation returns a new mesh.  A mesh
+holds its nodes and elements only.  Element geometry is not stored: each pass
+over elements computes the vertices, Jacobian determinants and inverse
+Jacobians of the block it works on (Mesh.geometry), in closed form and
+elementwise from the nodes, so a block's rows are those of the whole mesh bit
+for bit.  Every mesh is built by Mesh(), which checks each element's measure
+and finds h in one pass over the blocks.  A perturbation returns a new mesh with
 some nodes moved, built from the original's element array and boundary nodes;
 a move of at most COORD_TOL in every coordinate is not applied.  A mesh pair
 is a mesh and such a perturbation, matched by index: element k is shared when
@@ -34,35 +38,6 @@ CONSERVATION_TOL = 1e-10   # overlay measure vs differing-region measure
 MAX_CLIP_VERTICES = 9
 
 
-# the per-element arrays of a mesh, in the order _geometry returns them
-_GEOMETRY = ("element_vertices", "jacobian_dets", "inverse_jacobians",
-             "element_measures", "element_diameters")
-
-
-def _geometry(nodes, elements):
-    """The per-element arrays (_GEOMETRY) of `elements`; raises
-    DegenerateMeshError if one of them has a nonpositive measure.  The
-    determinant and inverse of each Jacobian are closed forms: the length and
-    its reciprocal in 1-D, a e - b c and the adjugate divided by it in 2-D."""
-    d = nodes.shape[1]
-    verts = nodes[elements]                       # (m, d+1, d)
-    diam = np.zeros(len(verts))
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
-    jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)   # (m, d, d)
-    if d == 1:
-        det, inv = jac[:, 0, 0], np.ones_like(jac)
-    else:
-        (a, b), (c, e) = jac.transpose(1, 2, 0)
-        det = a * e - b * c
-        inv = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
-    if np.any(det <= 0.0):
-        raise DegenerateMeshError("element with nonpositive measure")
-    inv /= det[:, None, None]                     # the adjugate over det
-    return verts, det, inv, det / (1.0 if d == 1 else 2.0), diam
-
-
 def _unmoved(nodes_a, nodes_b):
     """Nodes whose coordinates agree to within COORD_TOL in every coordinate."""
     return np.all(np.abs(nodes_a - nodes_b) <= COORD_TOL, axis=1)
@@ -70,6 +45,9 @@ def _unmoved(nodes_a, nodes_b):
 
 class Mesh:
     """A 1-D interval mesh or 2-D triangle mesh with boundary flags.
+
+    A mesh holds its nodes and elements, not their geometry: a pass over
+    elements computes the geometry of each block it works on (`geometry`).
 
     Attributes
     ----------
@@ -89,15 +67,21 @@ class Mesh:
         elements = np.ascontiguousarray(np.asarray(elements, dtype=np.int64))
         if nodes.shape[1] != dimension or elements.shape[1] != dimension + 1:
             raise InvalidArgumentError("node/element array shapes do not match dimension")
+        if len(elements) == 0:
+            raise InvalidArgumentError("a mesh needs at least one element")
         self.dimension = dimension
         self.nodes = nodes
         self.elements = elements
         self.boundary_nodes = frozenset(int(i) for i in boundary_nodes)
-        for name, arr in zip(_GEOMETRY, _geometry(nodes, elements)):
-            setattr(self, name, arr)
-        self.h = float(self.element_diameters.max())
-        for arr in (nodes, elements, *(getattr(self, name) for name in _GEOMETRY)):
-            arr.setflags(write=False)
+        nodes.setflags(write=False)
+        elements.setflags(write=False)
+        # one pass over the blocks checks every element's measure and finds h
+        h = 0.0
+        for blk in fe_space.element_blocks(self.n_elements):
+            verts = self.geometry(blk)[0]
+            for i, j in itertools.combinations(range(dimension + 1), 2):
+                h = np.maximum(h, np.linalg.norm(verts[:, i] - verts[:, j], axis=1).max())
+        self.h = float(h)
 
     @property
     def n_nodes(self):
@@ -107,19 +91,32 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    @property
-    def domain_measure(self):
-        return float(self.element_measures.sum())
+    def geometry(self, elems=slice(None)):
+        """The vertices (m, d+1, d), Jacobian determinants (m,) and inverse
+        Jacobians (m, d, d) of the elements `elems` (a slice or an index
+        array); an element measures det / d!.  Raises DegenerateMeshError if
+        one of them has a nonpositive measure.
 
-    def inradii(self):
-        """Element inradii (2-D: area / semiperimeter; 1-D: half length)."""
+        The determinant and inverse are closed forms, elementwise: the length
+        and its reciprocal in 1-D, a e - b c and the adjugate divided by it in
+        2-D.  So the rows of an element do not depend on the other elements
+        asked for, and a shared element of a pair has them bit for bit alike
+        in both meshes."""
+        # take() gathers whole rows several times faster than fancy indexing
+        verts = self.nodes.take(self.elements[elems], axis=0)        # (m, d+1, d)
         if self.dimension == 1:
-            return 0.5 * self.element_measures
-        v = self.element_vertices
-        a = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        b = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        c = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        return 2.0 * self.element_measures / (a + b + c)
+            det = verts[:, 1, 0] - verts[:, 0, 0]
+            inv = np.ones((len(det), 1, 1))
+        else:
+            # the Jacobian [[a, b], [c, e]], entry by entry
+            (x0, y0), (x1, y1), (x2, y2) = verts.transpose(1, 2, 0)
+            a, b, c, e = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+            det = a * e - b * c
+            inv = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+        if np.any(det <= 0.0):
+            raise DegenerateMeshError("element with nonpositive measure")
+        inv /= det[:, None, None]                     # the adjugate over det
+        return verts, det, inv
 
 
 def build_uniform_interval(n):
@@ -266,8 +263,8 @@ def classify_pair(a, b, gamma_nominal):
     nodes, so node k and element k of one are node k and element k of the
     other.  A node is unmoved when its coordinates agree to within COORD_TOL
     per coordinate, and an element is shared when all its nodes are unmoved.
-    The differing-region measure is the domain measure minus the measure of
-    the shared elements.
+    The differing-region measure is the measure of the elements that are not
+    shared, which must agree between the meshes to within MEASURE_TOL.
     """
     if a.dimension != b.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
@@ -277,8 +274,9 @@ def classify_pair(a, b, gamma_nominal):
     shared = _unmoved(a.nodes, b.nodes)[a.elements].all(axis=1)
     shared.setflags(write=False)
 
-    diff_a = a.domain_measure - float(a.element_measures[shared].sum())
-    diff_b = b.domain_measure - float(b.element_measures[shared].sum())
+    differing = np.flatnonzero(~shared)
+    # an element measures det / d!, and d! = d for d = 1, 2
+    diff_a, diff_b = (float(m.geometry(differing)[1].sum()) / m.dimension for m in (a, b))
     if abs(diff_a - diff_b) > MEASURE_TOL:
         raise GeometryError(
             f"differing-region measure disagrees between meshes: {diff_a} vs {diff_b}")
@@ -293,7 +291,7 @@ def _overlap_pairs(mesh_a, ia, mesh_b, ib):
     then the box test in every coordinate."""
     if len(ia) == 0 or len(ib) == 0:
         return np.empty((0, 2), dtype=np.intp)
-    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    va, vb = mesh_a.geometry(ia)[0], mesh_b.geometry(ib)[0]
     lo_a, hi_a = va.min(axis=1), va.max(axis=1) + BOX_TOL
     lo_b, hi_b = vb.min(axis=1), vb.max(axis=1) + BOX_TOL
     # boxes overlap iff their centres lie at most half their summed widths
@@ -395,7 +393,7 @@ def _fragments(mesh_a, dia, mesh_b, dib):
 
 def _overlay_block(mesh_a, ia, mesh_b, ib):
     """_fragments of the candidate pairs (ia[k], ib[k])."""
-    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    va, vb = mesh_a.geometry(ia)[0], mesh_b.geometry(ib)[0]
     if mesh_a.dimension == 1:
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
@@ -409,7 +407,7 @@ def _overlay_block(mesh_a, ia, mesh_b, ib):
         simplices = np.stack([np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape),
                               poly[:, 1:-1], poly[:, 2:]], axis=2)[fan]
         owner = np.nonzero(fan)[0]
-        # a e - b c of the edge vectors, as mesh._geometry takes it
+        # a e - b c of the edge vectors, as Mesh.geometry takes it
         (a, b), (c, e) = (simplices[:, 1:] - simplices[:, :1]).transpose(1, 2, 0)
         dets = a * e - b * c
     # a simplex measures det / d!, and d! = d for d = 1, 2

@@ -15,8 +15,9 @@ them at once with the determinants the overlay stores.
 
 Every pass over whole meshes (error norms, component norms, the shared-element
 pass, `support_measure`) samples its elements in blocks of
-`space.BLOCK_ELEMENTS` and sums the blocks' integrals (takes their maximum
-for eta = inf), so it holds one block's samples at a time.
+`space.BLOCK_ELEMENTS`, with each block's geometry computed once for it
+(`Mesh.geometry`), and sums the blocks' integrals (takes their maximum for
+eta = inf), so it holds one block's samples and geometry at a time.
 """
 
 import math
@@ -79,9 +80,9 @@ def _sample(f, u, elems, eta, gradients):
     """f - u on the elements elems of f's mesh, at the fixed grid when
     eta = inf and else at a rule exact to degree 2 degree + 6.
 
-    Returns the rule's weights (None on the grid) and the parts: the value
-    differences (K, nq) and, with `gradients`, the gradient differences
-    (K, nq, d).
+    Returns the rule's weights (None on the grid), the elements' Jacobian
+    determinants and the parts: the value differences (K, nq) and, with
+    `gradients`, the gradient differences (K, nq, d).
     """
     space = f.space
     mesh = space.mesh
@@ -90,12 +91,13 @@ def _sample(f, u, elems, eta, gradients):
     else:
         rule = quadrature_rule(mesh.dimension, 2 * space.degree + 6)
         pts, weights = rule.points, rule.weights
-    vals, grads = eval_on_elements(space, f.coeffs, elems, pts, gradients=gradients)
-    flat = physical_points(mesh.element_vertices[elems], pts).reshape(-1, mesh.dimension)
+    verts, det, Jinv = mesh.geometry(elems)
+    vals, grads = eval_on_elements(space, f.coeffs, elems, pts, Jinv if gradients else None)
+    flat = physical_points(verts, pts).reshape(-1, mesh.dimension)
     parts = [vals - np.asarray(u.value(flat)).reshape(vals.shape)]
     if gradients:
         parts.append(grads - np.asarray(u.gradient(flat)).reshape(grads.shape))
-    return weights, parts
+    return weights, det, parts
 
 
 def _integrals(parts, eta, weights, det):
@@ -108,15 +110,15 @@ def _integrals(parts, eta, weights, det):
                      for p in parts])
 
 
-def _blockwise(elems, det, eta, sample):
-    """`_integrals` of the parts that `sample(e)` returns with its weights,
-    over the elements elems taken in blocks e (`element_blocks`): summed
-    over the blocks, or their maximum when eta = inf; 0.0 for no elements."""
+def _blockwise(elems, eta, sample):
+    """`_integrals` of the parts that `sample(e)` returns with its weights
+    and determinants, over the elements elems taken in blocks e
+    (`element_blocks`): summed over the blocks, or their maximum when
+    eta = inf; 0.0 for no elements."""
     totals = 0.0
     for blk in element_blocks(len(elems)):
-        e = elems[blk]
-        weights, parts = sample(e)
-        block = _integrals(parts, eta, weights, det[e])
+        weights, det, parts = sample(elems[blk])
+        block = _integrals(parts, eta, weights, det)
         totals = np.maximum(totals, block) if math.isinf(eta) else totals + block
     return totals
 
@@ -133,7 +135,7 @@ def sobolev_norm_exact_diff(f, u, spec):
     if spec.s == 1 and u.gradient is None:
         raise InvalidArgumentError("s=1 norm requires a gradient for u")
     mesh = f.space.mesh
-    totals = _blockwise(_elements(spec, mesh), mesh.jacobian_dets, spec.eta,
+    totals = _blockwise(_elements(spec, mesh), spec.eta,
                         lambda e: _sample(f, u, e, spec.eta, spec.s == 1))
     return _norm(totals, spec.eta)
 
@@ -152,12 +154,12 @@ def fe_component_norms(f, k, eta):
     mesh = f.space.mesh
 
     def sample(e):
-        weights, parts = _sample(f, ZERO, e, eta, k == 1)
+        weights, det, parts = _sample(f, ZERO, e, eta, k == 1)
         if k == 1:
             parts = parts[:1] + [parts[1][:, :, d] for d in range(mesh.dimension)]
-        return weights, parts
+        return weights, det, parts
 
-    totals = _blockwise(np.arange(mesh.n_elements), mesh.jacobian_dets, eta, sample)
+    totals = _blockwise(np.arange(mesh.n_elements), eta, sample)
     return [_norm(t, eta) for t in totals]
 
 
@@ -176,10 +178,11 @@ def cross_mesh_norm(diff, spec):
     coeffs = f_a.coeffs - f_b.coeffs
 
     def shared_parts(e):
-        v, g = eval_on_elements(sa, coeffs, e, rule.points, gradients=need_grad)
-        return rule.weights, [v] if g is None else [v, g]
+        _, det, Jinv = mesh_a.geometry(e)
+        v, g = eval_on_elements(sa, coeffs, e, rule.points, Jinv if need_grad else None)
+        return rule.weights, det, [v] if g is None else [v, g]
 
-    shared = _blockwise(elems[pair.shared[elems]], mesh_a.jacobian_dets, 2, shared_parts)
+    shared = _blockwise(elems[pair.shared[elems]], 2, shared_parts)
 
     simplices, ia, ib, det = pair.fragments
     if spec.region is not None:
@@ -198,11 +201,13 @@ def support_measure(f):
     space = f.space
     mesh = space.mesh
     rule = quadrature_rule(mesh.dimension, 2 * space.degree)
-    active = np.empty(mesh.n_elements, dtype=bool)
+    dets = []
     for blk in element_blocks(mesh.n_elements):
         vals, _ = eval_on_elements(space, f.coeffs, blk, rule.points)
-        active[blk] = ((np.abs(vals).max(axis=1) > SUPPORT_THRESHOLD)
-                       | (np.abs(f.coeffs[space.element_dofs[blk]]).max(axis=1)
-                          > SUPPORT_THRESHOLD))
-    return float(mesh.element_measures[active].sum())
+        active = ((np.abs(vals).max(axis=1) > SUPPORT_THRESHOLD)
+                  | (np.abs(f.coeffs[space.element_dofs[blk]]).max(axis=1)
+                     > SUPPORT_THRESHOLD))
+        dets.append(mesh.geometry(blk)[1][active])
+    # an element measures det / d!, and d! = d for d = 1, 2
+    return float(np.concatenate(dets).sum()) / mesh.dimension
 

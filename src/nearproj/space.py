@@ -93,10 +93,10 @@ def _dissection_order(mesh, element_dofs, dof_coords, free):
     """
     d = mesh.dimension
     levels = 0 if d == 1 else math.ceil(math.log2(mesh.n_elements))
-    v = mesh.element_vertices
-    # v.mean(axis=1) as one contiguous array per axis, which bincount reads
-    # several times faster than a strided column
-    centroids = [sum(v[:, k, a] for k in range(d + 1)) / (d + 1) for a in range(d)]
+    # the element centroids as one contiguous array per axis, which bincount
+    # reads several times faster than a strided column
+    centroids = [sum(mesh.nodes[:, a][mesh.elements[:, k]] for k in range(d + 1)) / (d + 1)
+                 for a in range(d)]
     leaf = np.zeros(mesh.n_elements, dtype=np.intp)
     for level in range(levels):
         c = centroids[level % d]
@@ -147,7 +147,7 @@ class FeSpace:
         boundary = np.zeros(nn, dtype=bool)
         boundary[np.fromiter(mesh.boundary_nodes, dtype=np.int64)] = True
         if degree == 1:
-            self.element_dofs = mesh.elements.copy()
+            self.element_dofs = mesh.elements      # write-protected, so shared
             self.edges = np.empty((0, 2), dtype=np.int64)
             self.dof_coords = _dof_coords(mesh, self.edges)
         else:
@@ -238,16 +238,18 @@ def interpolate_nodal(space, u):
 
 
 def locate_element(mesh, x, tol=BARY_TOL):
-    """Index of the element containing x (lowest index on ties), or raise."""
+    """Index of the element containing x (lowest index on ties) and the
+    reference coordinates of x in it, or raise.  The elements are searched
+    block by block, up to the first block that holds x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rel = x[None, :] - mesh.element_vertices[:, 0, :]
-    ref = np.einsum("mdk,mk->md", mesh.inverse_jacobians, rel)
-    lam_last = 1.0 - ref.sum(axis=1)
-    inside = np.all(ref >= -tol, axis=1) & (lam_last >= -tol)
-    idx = np.where(inside)[0]
-    if idx.size == 0:
-        raise OutOfDomainError(f"point {x} is outside the mesh domain")
-    return int(idx[0]), ref[idx[0]]
+    for blk in element_blocks(mesh.n_elements):
+        verts, _, Jinv = mesh.geometry(blk)
+        ref = np.einsum("mdk,mk->md", Jinv, x[None, :] - verts[:, 0, :])
+        lam_last = 1.0 - ref.sum(axis=1)
+        inside = np.flatnonzero(np.all(ref >= -tol, axis=1) & (lam_last >= -tol))
+        if inside.size:
+            return blk.start + int(inside[0]), ref[inside[0]]
+    raise OutOfDomainError(f"point {x} is outside the mesh domain")
 
 
 def evaluate(f, x):
@@ -258,7 +260,7 @@ def evaluate(f, x):
     G = shape_grads(space.mesh.dimension, space.degree, ref[None, :])
     dofs = space.element_dofs[e]
     value = float(V[0] @ f.coeffs[dofs])
-    grad = f.coeffs[dofs] @ (G[0] @ space.mesh.inverse_jacobians[e])
+    grad = f.coeffs[dofs] @ (G[0] @ space.mesh.geometry([e])[2][0])
     return value, grad
 
 
@@ -288,24 +290,25 @@ def _reference_grads(space, c, lam):
     return lam @ at_vertices.reshape(len(c), dim + 1, dim)
 
 
-def eval_on_elements(space, coeffs, elem_idx, ref_pts, gradients=False):
+def eval_on_elements(space, coeffs, elem_idx, ref_pts, Jinv=None):
     """Evaluate at the same reference points on a batch of elements.
 
-    Returns values (K, nq) and, if requested, physical gradients (K, nq, d).
+    Returns values (K, nq) and, given the inverse Jacobians Jinv (K, d, d) of
+    those elements (`Mesh.geometry`), physical gradients (K, nq, d).
     """
     dim = space.mesh.dimension
     c = coeffs[space.element_dofs[elem_idx]]              # (K, n_loc)
     vals = c @ shape_values(dim, space.degree, ref_pts).T  # (K, nq)
-    if not gradients:
+    if Jinv is None:
         return vals, None
     grads = _reference_grads(space, c, _bary(dim, ref_pts))
-    return vals, grads @ space.mesh.inverse_jacobians[elem_idx]
+    return vals, grads @ Jinv
 
 
 def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
     """Evaluate on known elements at per-element physical points (K, nq, d)."""
-    v0 = space.mesh.element_vertices[elem_idx, 0, :]               # (K, d)
-    Jinv = space.mesh.inverse_jacobians[elem_idx]                  # (K, d, d)
+    verts, _, Jinv = space.mesh.geometry(elem_idx)
+    v0 = verts[:, 0, :]                                            # (K, d)
     ref = (phys_pts - v0[:, None, :]) @ Jinv.transpose(0, 2, 1)    # (K, nq, d)
     K, nq, d = ref.shape
     V = shape_values(d, space.degree, ref.reshape(-1, d)).reshape(K, nq, space.n_local)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,3 +555,25 @@ def test_random_config_exits_0_or_2(tmp_path, capsys, text):
     keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
     assert code == 2 or not keys & {"gamma", "eta", "mu", "nu"}, text
     assert "Traceback" not in captured.out + captured.err, text
+
+
+def run_module(*args):
+    """`python -m nearproj ARGS` in a fresh process, on the sources of this
+    checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "nearproj", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_nearproj_prints_help():
+    out = run_module("--help")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: nearproj ")
+
+
+def test_python_m_nearproj_exits_2_on_an_unknown_table():
+    out = run_module("table", "9")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: table id must be one of [1, 2, 3, 4, 5, 6]\n"

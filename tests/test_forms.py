@@ -20,13 +20,13 @@ from conftest import jittered_mesh, random_fe_function
 
 def oracle_local_matrices(space, form, rule, V, G):
     """Element matrices from physical gradients at every quadrature point."""
-    mesh = space.mesh
-    det = mesh.jacobian_dets[:, None, None]
+    _, det, Jinv = space.mesh.geometry()
+    det = det[:, None, None]
     w = rule.weights
     mass_ref = np.einsum("q,qi,qj->ij", w, V, V)[None, :, :]
     if form.kind == "mass":
         return det * mass_ref
-    PG = G @ mesh.inverse_jacobians[:, None]              # (m, nq, nloc, d)
+    PG = G @ Jinv[:, None]                                # (m, nq, nloc, d)
     loc = np.einsum("q,mqid,mqjd->mij", w, PG, PG) * det
     if form.kind == "adr":
         adv = np.einsum("q,mqj,qi->mij", w, PG @ np.array(form.velocity), V)
@@ -38,8 +38,9 @@ def oracle_load(space, form, u):
     """Load vector from physical gradients at every quadrature point."""
     mesh = space.mesh
     rule, V, G = _element_data(space, 2 * space.degree + 4)
-    xq = physical_points(mesh.element_vertices, rule.points)
-    det = mesh.jacobian_dets[:, None]
+    verts, det, Jinv = mesh.geometry()
+    xq = physical_points(verts, rule.points)
+    det = det[:, None]
     w = rule.weights
     flat = xq.reshape(-1, mesh.dimension)
     b_el = np.zeros((mesh.n_elements, space.n_local))
@@ -49,7 +50,7 @@ def oracle_load(space, form, u):
         b_el += scale * np.einsum("q,mq,qi->mi", w, uq, V) * det
     if form.kind in ("stiffness", "adr"):
         gu = u.gradient(flat).reshape(xq.shape)
-        PG = G @ mesh.inverse_jacobians[:, None]
+        PG = G @ Jinv[:, None]
         b_el += np.einsum("q,mqd,mqid->mi", w, gu, PG) * det
         if form.kind == "adr":
             vq = gu @ np.array(form.velocity)

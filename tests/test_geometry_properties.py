@@ -133,8 +133,34 @@ def test_closed_form_geometry_matches_lapack(scale, angle, shift, nudge):
     jac = (t[1:] - t[0]).T
     ulp = 16 * np.finfo(float).eps
     det, inv = np.linalg.det(jac), np.linalg.inv(jac)
-    assert abs(mesh.jacobian_dets[0] - det) <= ulp * det
-    assert np.abs(mesh.inverse_jacobians[0] - inv).max() <= ulp * np.abs(inv).max()
+    _, (got_det,), (got_inv,) = mesh.geometry()
+    assert abs(got_det - det) <= ulp * det
+    assert np.abs(got_inv - inv).max() <= ulp * np.abs(inv).max()
+
+
+@given(st.sampled_from(["1d", "2d", "2d-band"]), st.integers(2, 12), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_block_geometry_is_the_whole_mesh_geometry(kind, n, block, seed):
+    # every pass computes the geometry of its own block, so the rows of an
+    # element must not depend on the other elements asked for
+    rng = np.random.default_rng(seed)
+    mesh = build_uniform_interval(n) if kind == "1d" else build_uniform_square(n)
+    if kind == "2d-band":
+        mesh = perturb_boundary_band(mesh, mesh.h / np.sqrt(2), (mesh.h / 4, 0.0))
+    # move every interior node by up to h / 20 per coordinate, which keeps
+    # every element, the band's included, counterclockwise
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
+    nodes[interior] += 0.1 * mesh.h * (rng.random((interior.size, mesh.dimension)) - 0.5)
+    mesh = Mesh(mesh.dimension, nodes, mesh.elements, mesh.boundary_nodes)
+    whole = mesh.geometry()
+    blocks = [mesh.geometry(slice(k, k + block)) for k in range(0, mesh.n_elements, block)]
+    for parts, want in zip(zip(*blocks), whole):
+        assert np.concatenate(parts).tobytes() == want.tobytes()
+    picked = rng.permutation(mesh.n_elements)[:block]
+    for got, want in zip(mesh.geometry(picked), whole):
+        assert got.tobytes() == want[picked].tobytes()
 
 
 def test_clip_identical_triangles():

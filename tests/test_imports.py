@@ -188,3 +188,16 @@ def test_scipy_loads_only_when_a_system_is_assembled():
         "nearproj table 9": (2, [])}
     assert solved[0] == 0
     assert "scipy.sparse.linalg" in solved[1]
+
+
+def test_python_m_nearproj_help_loads_no_scipy():
+    # -X importtime lists every module the process imports, one per line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "nearproj", "--help"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "nearproj.cli" in imported
+    assert [m for m in imported if m == "scipy" or m.startswith("scipy.")] == []

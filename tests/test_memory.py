@@ -1,5 +1,5 @@
-"""Whole-mesh passes hold one block of samples or one chunk of matrix
-entries, not the whole mesh's.
+"""A mesh holds its nodes and elements only, and whole-mesh passes hold one
+block of samples or one chunk of matrix entries, not the whole mesh's.
 
 tracemalloc counts numpy's allocations, so these peaks depend on the array
 shapes alone, not on the machine.
@@ -11,9 +11,13 @@ import pytest
 
 from nearproj import (NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_square, interpolate_nodal,
-                      named_function, sobolev_norm_exact_diff, space)
+                      named_function, perturb_boundary_band, sobolev_norm_exact_diff,
+                      space)
 from nearproj.quadrature import quadrature_rule
 
+# what a mesh may hold besides its node and element arrays: its boundary
+# node set and the attributes' objects
+MESH_SLACK = 64 * 2 ** 10
 # bytes per quadrature point of one element that a pass may hold: its
 # samples take about 10 (load) and 15 (H1 error norm) doubles per point
 BYTES_PER_POINT = 24 * 8
@@ -35,6 +39,24 @@ def _traced_peak(run):
     try:
         run()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_mesh_retains_its_nodes_and_elements_only():
+    # 32,768 elements: stored per-element geometry (vertices, determinants,
+    # inverse Jacobians, measures, diameters) would take 3.4 MB per mesh;
+    # the band-perturbed mesh shares mesh a's element array
+    build_uniform_square(8)
+    tracemalloc.start()
+    try:
+        mesh = build_uniform_square(128)
+        retained = tracemalloc.get_traced_memory()[0]
+        assert retained <= mesh.nodes.nbytes + mesh.elements.nbytes + MESH_SLACK
+        moved = perturb_boundary_band(mesh, mesh.h / 2 ** 0.5, (mesh.h / 4, 0.0))
+        assert moved.elements is mesh.elements
+        assert (tracemalloc.get_traced_memory()[0] - retained
+                <= moved.nodes.nbytes + MESH_SLACK)
     finally:
         tracemalloc.stop()
 

@@ -9,9 +9,21 @@ from nearproj import (STIFFNESS, CrossMeshDiff, DegenerateMeshError,
                       cross_mesh_norm, perturb_boundary_band, perturb_node_nearest,
                       project)
 from nearproj.cli import TABLES
-from nearproj.mesh import _GEOMETRY, COORD_TOL
+from nearproj.mesh import COORD_TOL
 from nearproj.space import shared_dof_mask
 from nearproj.study import _pair, _spaces
+
+
+def _measures(m):
+    """Element measures: det / d!, and d! = d for d = 1, 2."""
+    return m.geometry()[1] / m.dimension
+
+
+def _shape_ratios(m):
+    """Diameter over inradius (area / semiperimeter) of each triangle."""
+    v = m.geometry()[0]
+    edges = [np.linalg.norm(v[:, i] - v[:, j], axis=1) for i, j in ((0, 1), (1, 2), (2, 0))]
+    return np.max(edges, axis=0) / (2.0 * _measures(m) / sum(edges))
 
 
 class TestUniformInterval:
@@ -31,11 +43,15 @@ class TestUniformInterval:
         m = build_uniform_interval(256)
         assert m.h == pytest.approx(1 / 256)
         assert m.n_elements == 256
-        assert m.domain_measure == pytest.approx(1.0, abs=1e-12)
+        assert _measures(m).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_too_small_raises(self):
         with pytest.raises(InvalidArgumentError):
             build_uniform_interval(1)
+
+    def test_no_element_raises(self):
+        with pytest.raises(InvalidArgumentError, match="at least one element"):
+            Mesh(1, [0.0, 1.0], np.empty((0, 2)), {0, 1})
 
 
 class TestUniformSquare:
@@ -48,16 +64,16 @@ class TestUniformSquare:
     def test_smallest(self):
         m = build_uniform_square(2)
         assert m.n_elements == 8
-        assert m.domain_measure == pytest.approx(1.0, abs=1e-12)
+        assert _measures(m).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_measures_sum_n64(self):
         m = build_uniform_square(64)
         assert m.n_elements == 8192
-        assert m.domain_measure == pytest.approx(1.0, abs=1e-12)
+        assert _measures(m).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_counterclockwise(self):
         m = build_uniform_square(3)
-        assert np.all(m.jacobian_dets > 0)
+        assert np.all(m.geometry()[1] > 0)
 
     def test_element_order_and_boundary(self):
         # squares row by row, lower triangle first; nodes row by row in y
@@ -75,7 +91,7 @@ class TestUniformSquare:
 
     def test_shape_regularity(self):
         for m in (build_uniform_square(4), build_uniform_square(16)):
-            assert np.all(m.element_diameters / m.inradii() <= 10.0)
+            assert np.all(_shape_ratios(m) <= 10.0)
 
 
 class TestPerturbNodeNearest:
@@ -120,8 +136,9 @@ class TestPerturbNodeNearest:
         assert out.nodes[6, 0] == m.nodes[6, 0]
         pair = classify_pair(m, out, 2.0)
         assert pair.shared.all()
-        for name in _GEOMETRY:
-            assert np.array_equal(getattr(out, name), getattr(m, name)), name
+        assert out.h == m.h
+        for got, want in zip(out.geometry(), m.geometry()):
+            assert np.array_equal(got, want)
         space_a, space_b = _spaces(pair, 2)
         assert (assemble_matrix(space_a, STIFFNESS)
                 != assemble_matrix(space_b, STIFFNESS)).nnz == 0
@@ -147,7 +164,7 @@ class TestPerturbNodeNearest:
     def test_shape_regularity_preserved(self):
         m = build_uniform_square(8)
         out = perturb_node_nearest(m, (0.25, 0.25), (m.h / 4, 0.0))
-        assert np.all(out.element_diameters / out.inradii() <= 10.0)
+        assert np.all(_shape_ratios(out) <= 10.0)
 
 
 def band_node_count_oracle(n):
@@ -273,13 +290,15 @@ class TestExactGeometry:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_differing_elements_match_the_rational_jacobian(self, table, level):
         pair = _pair(TABLES[table].configs[0], level)
+        differing = pair.differing_elements_a()
         for mesh in (pair.mesh_a, pair.mesh_b):
-            for k in pair.differing_elements_a():
+            _, dets, inverses = mesh.geometry(differing)
+            for k, got_det, got_inv in zip(differing, dets, inverses):
                 (x0, y0), (x1, y1), (x2, y2) = (
                     map(Fraction, mesh.nodes[i]) for i in mesh.elements[k])
                 a, b, c, e = x1 - x0, x2 - x0, y1 - y0, y2 - y0
                 det = a * e - b * c
-                assert Fraction(mesh.jacobian_dets[k]) == det, k
+                assert Fraction(got_det) == det, k
                 exact = [[float(e / det), float(-b / det)],
                          [float(-c / det), float(a / det)]]
-                assert mesh.inverse_jacobians[k].tolist() == exact, k
+                assert got_inv.tolist() == exact, k

@@ -347,7 +347,7 @@ class TestBlockedPasses:
                 assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
         blocked, whole = self._blocked_and_whole(monkeypatch,
                                                  lambda: support_measure(sparse))
-        assert 0.0 < blocked == whole < mesh.domain_measure
+        assert 0.0 < blocked == whole < mesh.geometry()[1].sum() / mesh.dimension
 
 
 class TestSeminormExact:
@@ -380,7 +380,7 @@ class TestSupportMeasure:
         other = build_space(pair1d8.mesh_b, 1, dirichlet=True)
         keep = shared_dof_mask(pair1d8, s)
         halo = np.isin(s.element_dofs, np.where(~keep)[0]).any(axis=1)
-        halo_measure = pair1d8.mesh_a.element_measures[halo].sum()
+        halo_measure = pair1d8.mesh_a.geometry(halo)[1].sum()   # 1-D: det
         for _ in range(20):
             f = random_fe_function(s, rng)
             g = intersection_project(pair1d8, f, other_space=other)
@@ -423,24 +423,21 @@ def _exact_diff_oracle(f, u, spec):
     mesh = f.space.mesh
     elems = (np.arange(mesh.n_elements) if spec.region is None
              else np.array(sorted(spec.region), dtype=np.int64))
+    verts, det, Jinv = mesh.geometry(elems)
+    Jinv = Jinv if spec.s == 1 else None
     if math.isinf(spec.eta):
         grid = _GRID[mesh.dimension]
-        vals, grads = eval_on_elements(f.space, f.coeffs, elems, grid,
-                                       gradients=spec.s == 1)
-        pts = physical_points(mesh.element_vertices[elems], grid).reshape(
-            -1, mesh.dimension)
+        vals, grads = eval_on_elements(f.space, f.coeffs, elems, grid, Jinv)
+        pts = physical_points(verts, grid).reshape(-1, mesh.dimension)
         sup = np.abs(vals - np.asarray(u.value(pts)).reshape(vals.shape)).max()
         if spec.s == 1:
             ugrads = np.asarray(u.gradient(pts)).reshape(grads.shape)
             sup = max(sup, np.abs(grads - ugrads).max())
         return float(sup)
     rule = quadrature_rule(mesh.dimension, 2 * f.space.degree + 6)
-    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points,
-                                   gradients=spec.s == 1)
-    flat = physical_points(mesh.element_vertices[elems], rule.points).reshape(
-        -1, mesh.dimension)
+    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points, Jinv)
+    flat = physical_points(verts, rule.points).reshape(-1, mesh.dimension)
     uvals = np.asarray(u.value(flat)).reshape(vals.shape)
-    det = mesh.jacobian_dets[elems]
     total = np.einsum("kq,q,k->", np.abs(vals - uvals) ** spec.eta, rule.weights, det)
     if spec.s == 1:
         ugrads = np.asarray(u.gradient(flat)).reshape(grads.shape)
@@ -453,17 +450,17 @@ def _component_oracle(f, k, eta):
     """fe_component_norms with a grid branch and a rule branch."""
     mesh = f.space.mesh
     elems = np.arange(mesh.n_elements)
+    _, det, Jinv = mesh.geometry(elems)
+    Jinv = Jinv if k == 1 else None
     if math.isinf(eta):
         vals, grads = eval_on_elements(f.space, f.coeffs, elems, _GRID[mesh.dimension],
-                                       gradients=k == 1)
+                                       Jinv)
         out = [float(np.abs(vals).max())]
         if k == 1:
             out += [float(np.abs(grads[:, :, d]).max()) for d in range(mesh.dimension)]
         return out
     rule = quadrature_rule(mesh.dimension, 2 * f.space.degree + 6)
-    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points,
-                                   gradients=k == 1)
-    det = mesh.jacobian_dets
+    vals, grads = eval_on_elements(f.space, f.coeffs, elems, rule.points, Jinv)
     out = [float(np.einsum("kq,q,k->", np.abs(vals) ** eta, rule.weights, det)
                  ** (1.0 / eta))]
     if k == 1:
@@ -497,15 +494,16 @@ def _cross_oracle(diff, spec, per_side=False):
     ia = np.flatnonzero(pair.shared)
     if region is not None:
         ia = ia[np.isin(ia, region)]
+    verts, det, Jinv = pair.mesh_a.geometry(ia)
+    Jinv = Jinv if grad else None
     if per_side:
-        pts = physical_points(pair.mesh_a.element_vertices[ia], rule.points)
+        pts = physical_points(verts, rule.points)
         v, g = difference(
-            *eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, gradients=grad),
+            *eval_on_elements(f_a.space, f_a.coeffs, ia, rule.points, Jinv),
             *eval_at_physical(f_b.space, f_b.coeffs, ia, pts, gradients=grad))
     else:
-        v, g = eval_on_elements(f_a.space, f_a.coeffs - f_b.coeffs, ia, rule.points,
-                                gradients=grad)
-    total = squares(v, g, pair.mesh_a.jacobian_dets[ia])
+        v, g = eval_on_elements(f_a.space, f_a.coeffs - f_b.coeffs, ia, rule.points, Jinv)
+    total = squares(v, g, det)
     simplices, ia, ib, _ = pair.fragments
     if region is not None:
         keep = np.isin(ia, region)

@@ -70,8 +70,7 @@ def _polygon_area(poly):
 
 def _dense_overlap_pairs(mesh_a, ia, mesh_b, ib):
     """Candidate pairs from the full |ia| x |ib| bounding-box matrix."""
-    va = mesh_a.element_vertices[ia]
-    vb = mesh_b.element_vertices[ib]
+    va, vb = mesh_a.geometry(ia)[0], mesh_b.geometry(ib)[0]
     lo_a, hi_a = va.min(axis=1), va.max(axis=1)
     lo_b, hi_b = vb.min(axis=1), vb.max(axis=1)
     ok = np.all((lo_a[:, None, :] <= hi_b[None, :, :] + BOX_TOL)
@@ -84,7 +83,7 @@ def _oracle_fragments(mesh_a, dia, mesh_b, dib):
     fragments cover as shoelace areas of the clipped polygons."""
     pairs = _dense_overlap_pairs(mesh_a, dia, mesh_b, dib)
     ia, ib = dia[pairs[:, 0]], dib[pairs[:, 1]]
-    va, vb = mesh_a.element_vertices[ia], mesh_b.element_vertices[ib]
+    va, vb = mesh_a.geometry(ia)[0], mesh_b.geometry(ib)[0]
     if mesh_a.dimension == 1:
         lo = np.maximum(va.min(axis=1), vb.min(axis=1))
         hi = np.minimum(va.max(axis=1), vb.max(axis=1))
@@ -302,7 +301,7 @@ def test_clip_past_six_vertices_by_rounding():
     ta = [(0.0, 0.84375), (-0.5, 0.8616943955421448), (0.0, 0.0)]
     tb = [(-9.999999747378752e-06, 0.84375), (-0.5, 0.8616943955421448), (1.0, 0.0)]
     a, b = (Mesh(2, np.array(t), [[0, 1, 2]], []) for t in (ta, tb))
-    assert _clip_triangles(a.element_vertices, b.element_vertices)[1].tolist() == [7]
+    assert _clip_triangles(a.geometry()[0], b.geometry()[0])[1].tolist() == [7]
     assert_matches_oracle(a, np.arange(1), b, np.arange(1))
 
 

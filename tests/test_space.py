@@ -59,6 +59,11 @@ class TestBuildSpace:
         assert np.array_equal(s.dof_coords, coords)
         assert np.array_equal(s.dirichlet_mask, mask)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_p1_shares_the_element_array(self, dim, mesh1d8, mesh2d4):
+        mesh = mesh1d8 if dim == 1 else mesh2d4
+        assert build_space(mesh, 1, dirichlet=True).element_dofs is mesh.elements
+
     def test_bad_degree(self, mesh1d8):
         with pytest.raises(InvalidArgumentError):
             build_space(mesh1d8, 3, dirichlet=True)
@@ -67,11 +72,10 @@ class TestBuildSpace:
     def test_nodal_duality(self, dim, degree, mesh1d8, mesh2d4):
         mesh = mesh1d8 if dim == 1 else mesh2d4
         space = build_space(mesh, degree, dirichlet=False)
-        for e in range(0, mesh.n_elements, max(1, mesh.n_elements // 4)):
+        elems = np.arange(0, mesh.n_elements, max(1, mesh.n_elements // 4))
+        for e, verts, Jinv in zip(elems, *mesh.geometry(elems)[::2]):
             dofs = space.element_dofs[e]
-            v0 = mesh.element_vertices[e, 0]
-            ref = np.einsum("de,ke->kd", mesh.inverse_jacobians[e],
-                            space.dof_coords[dofs] - v0)
+            ref = np.einsum("de,ke->kd", Jinv, space.dof_coords[dofs] - verts[0])
             vals = shape_values(dim, degree, ref)
             assert np.allclose(vals, np.eye(len(dofs)), atol=1e-12)
 
@@ -87,13 +91,14 @@ class TestBatchedEvaluation:
         c = f.coeffs[s.element_dofs]
         elems = np.arange(mesh.n_elements)
         ref = rng.random((7, dim)) / dim                  # inside the simplex
-        vals, grads = eval_on_elements(s, f.coeffs, elems, ref, gradients=True)
-        PG = shape_grads(dim, degree, ref) @ mesh.inverse_jacobians[:, None]
+        verts, _, Jinv = mesh.geometry(elems)
+        vals, grads = eval_on_elements(s, f.coeffs, elems, ref, Jinv)
+        PG = shape_grads(dim, degree, ref) @ Jinv[:, None]
         assert np.allclose(vals, c @ shape_values(dim, degree, ref).T,
                            rtol=0, atol=1e-13)
         assert np.allclose(grads, np.einsum("kl,kqle->kqe", c, PG), rtol=0, atol=1e-12)
         # the same points given in physical coordinates
-        pts = physical_points(mesh.element_vertices, ref)
+        pts = physical_points(verts, ref)
         vals_p, grads_p = eval_at_physical(s, f.coeffs, elems, pts, gradients=True)
         assert np.allclose(vals_p, vals, rtol=0, atol=1e-13)
         assert np.allclose(grads_p, grads, rtol=0, atol=1e-12)
