@@ -22,7 +22,10 @@ only the entries of the DOFs that a differing element touches, the columns
 of the matrix and the rows of the load, are summed anew, over the elements
 that touch those DOFs and in the order of a full assembly.  So the system is
 the one a full assembly on the second mesh gives, and its rows of DOFs that
-no differing element touches are bitwise those of the first system.
+no differing element touches are bitwise those of the first system.  The
+other columns are copied from `start`, so a start that holds only the
+recomputed columns gives only those columns of the second matrix, which is
+all that `project_pair` reads when it solves from the first system's factor.
 
 scipy is imported by `_scatter`, at the first assembly, not with this
 module: a process that assembles no system does not load it.
@@ -221,7 +224,8 @@ def _scatter(space, elements, columns, local):
     nloc = space.n_local
     index = np.full(space.n_dofs, -1, dtype=np.int32)
     index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)
-    rows = index[space.element_dofs if elements is None else space.element_dofs[elements]]
+    rows = index[space.element_dofs if elements is None
+                 else space.element_dofs.take(elements, axis=0)]
     cols = rows if columns is None else np.where((rows >= 0) & columns[rows], rows, -1)
     # kept (element, column) pairs still to scatter
     pairs = np.count_nonzero(cols >= 0)

@@ -237,10 +237,10 @@ def interpolate_nodal(space, u):
     return FeFunction(space, coeffs)
 
 
-def locate_element(mesh, x, tol=BARY_TOL):
-    """Index of the element containing x (lowest index on ties) and the
-    reference coordinates of x in it, or raise.  The elements are searched
-    block by block, up to the first block that holds x."""
+def _locate(mesh, x, tol):
+    """The element containing x (lowest index on ties), the reference
+    coordinates of x in it and its inverse Jacobian, or raise.  The elements
+    are searched block by block, up to the first block that holds x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     for blk in element_blocks(mesh.n_elements):
         verts, _, Jinv = mesh.geometry(blk)
@@ -248,19 +248,26 @@ def locate_element(mesh, x, tol=BARY_TOL):
         lam_last = 1.0 - ref.sum(axis=1)
         inside = np.flatnonzero(np.all(ref >= -tol, axis=1) & (lam_last >= -tol))
         if inside.size:
-            return blk.start + int(inside[0]), ref[inside[0]]
+            i = inside[0]
+            return blk.start + int(i), ref[i], Jinv[i]
     raise OutOfDomainError(f"point {x} is outside the mesh domain")
+
+
+def locate_element(mesh, x, tol=BARY_TOL):
+    """Index of the element containing x (lowest index on ties) and the
+    reference coordinates of x in it, or raise."""
+    return _locate(mesh, x, tol)[:2]
 
 
 def evaluate(f, x):
     """Value and gradient of an FeFunction at a single point."""
     space = f.space
-    e, ref = locate_element(space.mesh, x)
+    e, ref, Jinv = _locate(space.mesh, x, BARY_TOL)
     V = shape_values(space.mesh.dimension, space.degree, ref[None, :])
     G = shape_grads(space.mesh.dimension, space.degree, ref[None, :])
     dofs = space.element_dofs[e]
     value = float(V[0] @ f.coeffs[dofs])
-    grad = f.coeffs[dofs] @ (G[0] @ space.mesh.geometry([e])[2][0])
+    grad = f.coeffs[dofs] @ (G[0] @ Jinv)
     return value, grad
 
 
@@ -290,6 +297,12 @@ def _reference_grads(space, c, lam):
     return lam @ at_vertices.reshape(len(c), dim + 1, dim)
 
 
+def _rows(a, elems):
+    """The rows `elems` (a slice or an index array) of a; take() gathers
+    whole rows several times faster than fancy indexing."""
+    return a[elems] if isinstance(elems, slice) else a.take(elems, axis=0)
+
+
 def eval_on_elements(space, coeffs, elem_idx, ref_pts, Jinv=None):
     """Evaluate at the same reference points on a batch of elements.
 
@@ -297,7 +310,7 @@ def eval_on_elements(space, coeffs, elem_idx, ref_pts, Jinv=None):
     those elements (`Mesh.geometry`), physical gradients (K, nq, d).
     """
     dim = space.mesh.dimension
-    c = coeffs[space.element_dofs[elem_idx]]              # (K, n_loc)
+    c = coeffs[_rows(space.element_dofs, elem_idx)]       # (K, n_loc)
     vals = c @ shape_values(dim, space.degree, ref_pts).T  # (K, nq)
     if Jinv is None:
         return vals, None
@@ -312,7 +325,7 @@ def eval_at_physical(space, coeffs, elem_idx, phys_pts, gradients=False):
     ref = (phys_pts - v0[:, None, :]) @ Jinv.transpose(0, 2, 1)    # (K, nq, d)
     K, nq, d = ref.shape
     V = shape_values(d, space.degree, ref.reshape(-1, d)).reshape(K, nq, space.n_local)
-    c = coeffs[space.element_dofs[elem_idx]]
+    c = coeffs[_rows(space.element_dofs, elem_idx)]
     vals = (V @ c[:, :, None])[:, :, 0]
     if not gradients:
         return vals, None
@@ -326,7 +339,7 @@ def shared_dof_mask(pair, space):
     their element array, so DOF k of one is DOF k of the other.
     """
     out = np.ones(space.n_dofs, dtype=bool)
-    out[space.element_dofs[~pair.shared]] = False
+    out[space.element_dofs.take(pair.differing_elements_a(), axis=0)] = False
     return out
 
 

@@ -2,7 +2,8 @@
 array with some nodes moved, so every shared element has a's geometry bit for
 bit; its space takes a's numbering, and its system starts from a's system,
 recomputing only the differing elements.  Each part must equal what building
-mesh b's level from scratch gives."""
+mesh b's level from scratch gives.  When few DOFs differ, mesh b's system is
+solved from mesh a's factor, to within rounding of its own LU solve."""
 
 import math
 from dataclasses import replace
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from nearproj import (MASS, STIFFNESS, BilinearFormSpec, InvalidArgumentError, Mesh,
-                      assemble_load, assemble_matrix, build_space, cli, forms,
-                      named_function, project, project_pair)
+                      PerturbationSpec, StudyConfig, assemble_load, assemble_matrix,
+                      build_space, cli, forms, named_function, project, project_pair,
+                      projection)
 from nearproj.cli import TABLES
 from nearproj.space import shared_dof_mask
 from nearproj.study import _pair, _spaces
@@ -20,13 +22,19 @@ from nearproj.study import _pair, _spaces
 # (table, config): the 1-D single-node pair, the table-4 and table-5 2-D
 # single-node pair, and both forms of the table-6 band pair
 CONFIGS = [(1, 0), (2, 1), (4, 0), (5, 0), (6, 0), (6, 1)]
+ADR = BilinearFormSpec("adr", kappa=2.0, velocity=(1.0, -0.5))
 # (table, config, form): each config's own form, a stiffness form with a
 # finite delta on the 2-D single-node pair and an adr form on the band pair
+# and on the 2-D single-node pair
 SYSTEMS = [pytest.param(table, index, TABLES[table].configs[index].form,
                         id=f"{table}-{index}") for table, index in CONFIGS]
 SYSTEMS += [pytest.param(4, 0, BilinearFormSpec("stiffness", delta=1.0), id="4-0-delta1"),
-            pytest.param(6, 1, BilinearFormSpec("adr", kappa=2.0, velocity=(1.0, -0.5)),
-                         id="6-1-adr")]
+            pytest.param(6, 1, ADR, id="6-1-adr"),
+            pytest.param(4, 0, ADR, id="4-0-adr")]
+# the single-node P2 pair of the benchmark's node_p2 workload
+NODE_P2 = StudyConfig(dimension=2, degree=2, form=STIFFNESS,
+                      perturbation=PerturbationSpec("single-node", point=(0.25, 0.3125)),
+                      u="sin_pi_2d", levels=4, n0=16)
 
 
 def _level(table, index):
@@ -80,6 +88,14 @@ def test_system_b_matches_a_fresh_assembly_and_shares_a_rows(table, index, form)
     A_a, b_a = assemble_matrix(space_a, form_a), assemble_load(space_a, form_a, u)
     A_b = assemble_matrix(space_b, form, start=A_a)
     b_b = assemble_load(space_b, form, u, start=b_a)
+    if math.isinf(form.delta):
+        # a start that holds only the recomputed columns gives only those
+        recomputed = space_b.recomputed_dofs[space_b.free_dofs]
+        columns = assemble_matrix(space_b, form,
+                                  start=projection._columns(A_a, recomputed))
+        S = np.flatnonzero(recomputed)
+        assert columns.nnz == A_b[:, S].nnz
+        assert (columns[:, S] != A_b[:, S]).nnz == 0
     if math.isfinite(form.delta):
         # mesh b adds h^delta times its mass system, with mesh b's h
         scale = pair.mesh_b.h ** form.delta
@@ -103,16 +119,73 @@ def test_system_b_matches_a_fresh_assembly_and_shares_a_rows(table, index, form)
     assert np.array_equal(assemble_load(space_b, form, u), b_b)
 
 
+def _count_factorisations(monkeypatch):
+    """The sizes of the systems that `projection._factor` factorises from now on."""
+    sizes = []
+
+    def counted(A):
+        sizes.append(A.shape[0])
+        return factor(A)
+
+    factor = projection._factor
+    monkeypatch.setattr(projection, "_factor", counted)
+    return sizes
+
+
+def _relative_residual(space, form, u, coeffs):
+    A, b = assemble_matrix(space, form), assemble_load(space, form, u)
+    return np.linalg.norm(A @ coeffs[space.free_dofs] - b) / np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("table,index,form", SYSTEMS)
-def test_project_pair_is_two_projections(table, index, form):
+def test_project_pair_is_two_projections(table, index, form, monkeypatch):
     cfg, pair = _level(table, index)
     u = named_function(cfg.u)
     space_a, space_b = _spaces(pair, cfg.degree)
+    factorised = _count_factorisations(monkeypatch)
     f_a, f_b = project_pair(space_a, space_b, form, u)
+    reused = len(factorised) == 1
+    # the 2-D single-node pairs reuse mesh a's factor, unless h^delta changes every row
+    assert reused == (table in (4, 5) and math.isinf(form.delta))
     assert f_a.space is space_a and f_b.space is space_b
     assert np.array_equal(f_a.coeffs,
                           project(space_a, replace(form, delta=math.inf), u).coeffs)
-    assert np.array_equal(f_b.coeffs, project(space_b, form, u).coeffs)
+    direct = project(space_b, form, u).coeffs
+    if not reused:
+        assert np.array_equal(f_b.coeffs, direct)
+        return
+    # solved from mesh a's factor: the direct solution up to rounding, and as
+    # accurate a solution of mesh b's system
+    assert np.abs(f_b.coeffs - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert (_relative_residual(space_b, form, u, f_b.coeffs)
+            <= 2 * _relative_residual(space_b, form, u, direct))
+
+
+@pytest.mark.parametrize("cfg,level,form,count", [
+    (TABLES[4].configs[0], 3, None, 1),
+    (TABLES[5].configs[0], 3, None, 1),
+    (NODE_P2, 2, None, 1),                                   # P2, n = 64
+    (TABLES[6].configs[1], 3, None, 2),                      # the band pair
+    (TABLES[2].configs[1], 8, None, 2),                      # 1-D P2, n = 2048
+    (TABLES[5].configs[0], 3, BilinearFormSpec("stiffness", delta=1.0), 2),
+], ids=["table-4", "table-5", "node-p2-64", "band", "1d-2048", "delta1"])
+def test_a_pair_factorises_mesh_b_only_when_many_dofs_differ(cfg, level, form, count,
+                                                            monkeypatch):
+    pair = _pair(cfg, level)
+    space_a, space_b = _spaces(pair, cfg.degree)
+    factorised = _count_factorisations(monkeypatch)
+    project_pair(space_a, space_b, form or cfg.form, named_function(cfg.u))
+    assert factorised == [space_a.n_free] * count
+
+
+def test_identical_meshes_give_one_projection_bit_for_bit():
+    cfg = replace(NODE_P2, perturbation=PerturbationSpec("single-node", point=(0.25, 0.3125),
+                                                         fraction=0.0))
+    pair = _pair(cfg, 1)
+    space_a, space_b = _spaces(pair, cfg.degree)
+    assert not space_b.recomputed_dofs.any()
+    f_a, f_b = project_pair(space_a, space_b, cfg.form, named_function(cfg.u))
+    assert f_b.coeffs.tobytes() == f_a.coeffs.tobytes()
 
 
 def test_project_pair_leaves_nothing_on_mesh_a_space(pair1d8):

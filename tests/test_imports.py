@@ -5,7 +5,7 @@ linter in the toolchain, this catches the import a refactor leaves behind.
 Of scipy, the library uses only its sparse matrices and sparse LU: no module
 imports scipy.special or scipy.spatial, and a run that reproduces the paper's
 tables loads neither.  scipy is imported in two functions only, never at
-module level: `forms._scatter` imports scipy.sparse and `projection._solve`
+module level: `forms._scatter` imports scipy.sparse and `projection._factor`
 scipy.sparse.linalg.  So `import nearproj`, `nearproj --help`, `nearproj
 predict` and a command that exits 2 on its arguments load no scipy module,
 and a command that solves loads it at its first assembly.
@@ -136,7 +136,7 @@ def test_scipy_is_imported_only_where_a_system_is_assembled():
     found = {path.name: _scipy_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {
         "forms.py": [("_scatter", "scipy.sparse")],
-        "projection.py": [("_solve", "scipy.sparse.linalg")]}
+        "projection.py": [("_factor", "scipy.sparse.linalg")]}
 
 
 def test_a_module_level_scipy_import_is_found():

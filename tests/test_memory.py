@@ -1,5 +1,7 @@
 """A mesh holds its nodes and elements only, and whole-mesh passes hold one
-block of samples or one chunk of matrix entries, not the whole mesh's.
+block of samples or one chunk of matrix entries, not the whole mesh's.  A
+pair's second system, solved from the first system's factor, holds a few of
+its capacitance columns at a time.
 
 tracemalloc counts numpy's allocations, so these peaks depend on the array
 shapes alone, not on the machine.
@@ -7,13 +9,15 @@ shapes alone, not on the machine.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from nearproj import (NormSpec, STIFFNESS, assemble_load, assemble_matrix,
-                      build_space, build_uniform_square, interpolate_nodal,
-                      named_function, perturb_boundary_band, sobolev_norm_exact_diff,
-                      space)
+from nearproj import (NormSpec, PerturbationSpec, STIFFNESS, StudyConfig, assemble_load,
+                      assemble_matrix, build_space, build_uniform_square,
+                      interpolate_nodal, named_function, perturb_boundary_band,
+                      projection, sobolev_norm_exact_diff, space)
 from nearproj.quadrature import quadrature_rule
+from nearproj.study import _pair, _spaces
 
 # what a mesh may hold besides its node and element arrays: its boundary
 # node set and the attributes' objects
@@ -93,3 +97,25 @@ def test_matrix_peak_is_the_result_and_one_chunk(block, monkeypatch):
     bound = RESULT_SLACK * result + FIXED_BYTES + block * entries * BYTES_PER_ENTRY
     assert bound < mesh.n_elements * entries * BYTES_PER_ENTRY / 2
     assert _traced_peak(lambda: assemble_matrix(s, STIFFNESS)) < bound
+
+
+def test_solving_from_the_first_factor_holds_no_block_of_columns():
+    # the single-node P2 pair at n = 64: 19 of 16,129 free DOFs differ, and
+    # an (n_free, 19) array would take 2.5 MB; the update solves four unit
+    # columns per call, about 1.2 MB with the final solve
+    cfg = StudyConfig(dimension=2, degree=2, form=STIFFNESS,
+                      perturbation=PerturbationSpec("single-node", point=(0.25, 0.3125)),
+                      u="sin_pi_2d", levels=3, n0=16)
+    space_a, space_b = _spaces(_pair(cfg, 2), 2)
+    u = named_function(cfg.u)
+    A, b = assemble_matrix(space_a, STIFFNESS), assemble_load(space_a, STIFFNESS, u)
+    lu = projection._factor(A)
+    x = lu.solve(b)
+    S = np.flatnonzero(space_b.recomputed_dofs[space_b.free_dofs])
+    A_b = assemble_matrix(space_b, STIFFNESS, start=A)
+    b_b = assemble_load(space_b, STIFFNESS, u, start=b)
+    D = (A_b[:, S][S] - A[:, S][S]).toarray()
+    rho = (b_b - b)[S] - D @ x[S]
+    assert S.size == 19
+    peak = _traced_peak(lambda: projection._updated_solve(lu, x, S, D, rho))
+    assert peak < space_a.n_free * S.size * 8
