@@ -15,17 +15,13 @@ CSC result, one chunk's geometry and element matrices and a few
 (elements, n_local) index arrays.  Each block or chunk computes the geometry
 of its elements once (`Mesh.geometry`).
 
-On a space derived from the space of a pair's first mesh
-(`space.derived_space`), a system starts from the first space's system of
-the same form (and u), which `projection.project_pair` passes as `start`:
-only the entries of the DOFs that a differing element touches, the columns
-of the matrix and the rows of the load, are summed anew, over the elements
-that touch those DOFs and in the order of a full assembly.  So the system is
-the one a full assembly on the second mesh gives, and its rows of DOFs that
-no differing element touches are bitwise those of the first system.  The
-other columns are copied from `start`, so a start that holds only the
-recomputed columns gives only those columns of the second matrix, which is
-all that `project_pair` reads when it solves from the first system's factor.
+Given a mask `dofs` over the DOFs of the space, assembly sums only the
+matrix columns, or load rows, of the free DOFs in it, over the elements
+that touch one and in the order of a full assembly; the others are empty or
+zero.  They are the full assembly's up to the rounding of element matrices
+and vectors computed in other batches.  Without a mask any space assembles
+in full, one derived from a pair's first space too (`project_pair` builds
+the second space's systems from the first's with a mask).
 
 scipy is imported by `_scatter`, at the first assembly, not with this
 module: a process that assembles no system does not load it.
@@ -122,22 +118,6 @@ def _velocity(space, form):
     return v
 
 
-def _system(space, start, part, splice):
-    """The matrix or load of `space`: `part(space, elements, dofs)` sums it
-    over `elements` for the free DOFs in the mask `dofs` (None: all).  A
-    derived space `splice`s its part over its `recomputed_elements` for its
-    `recomputed_dofs` into `start`, its base's system (None: assembled here).
-    """
-    if space.base is None:
-        if start is not None:
-            raise InvalidArgumentError("a start system applies only to a derived space")
-        return part(space, None, None)
-    if start is None:
-        start = part(space.base, None, None)
-    dofs = space.recomputed_dofs[space.free_dofs]
-    return splice(start, part(space, space.recomputed_elements, dofs), dofs)
-
-
 def _per_element(space, elements, shape, compute):
     """`compute(space, blk)` for each block `blk` of the elements `elements`
     (None: all, in slices), as one (len(elements), *shape) array."""
@@ -205,12 +185,24 @@ def _column_chunks(cols, n_free, budget):
                np.split(elements, first))
 
 
-def _scatter(space, elements, columns, local):
-    """Sum the element matrices of `elements` (None: all) into a CSC matrix
-    over the free DOFs, numbered in the order of `space.free_dofs`;
-    `local(elems)` gives the element matrices of the elements `elems`, an
-    index array.  Constrained entries are dropped, and so are the columns
-    outside `columns` (a mask over the free DOFs; None: every column is kept).
+def _touching(space, dofs):
+    """The elements that touch a DOF in the mask `dofs` and their rows of
+    `space.element_dofs`; None and every row for no mask."""
+    if dofs is None:
+        return None, space.element_dofs
+    if np.shape(dofs) != (space.n_dofs,) or np.asarray(dofs).dtype != bool:
+        raise InvalidArgumentError(f"dofs must be a boolean mask over the "
+                                   f"{space.n_dofs} DOFs of the space")
+    elements = np.flatnonzero(dofs[space.element_dofs].any(axis=1))
+    return elements, space.element_dofs.take(elements, axis=0)
+
+
+def _scatter(space, dofs, local):
+    """Sum the element matrices into a CSC matrix over the free DOFs,
+    numbered in the order of `space.free_dofs`, for the columns of the free
+    DOFs in the mask `dofs` (None: every column) over the elements that
+    touch them; `local(elems)` gives the element matrices of the elements
+    `elems`, an index array.  Constrained entries are dropped.
 
     The columns are summed in contiguous chunks of about
     `space.BLOCK_ELEMENTS` elements' worth of entries, each from the element
@@ -224,9 +216,9 @@ def _scatter(space, elements, columns, local):
     nloc = space.n_local
     index = np.full(space.n_dofs, -1, dtype=np.int32)
     index[space.free_dofs] = np.arange(space.n_free, dtype=np.int32)
-    rows = index[space.element_dofs if elements is None
-                 else space.element_dofs.take(elements, axis=0)]
-    cols = rows if columns is None else np.where((rows >= 0) & columns[rows], rows, -1)
+    elements, element_dofs = _touching(space, dofs)
+    rows = index[element_dofs]
+    cols = rows if dofs is None else np.where(dofs[element_dofs], rows, -1)
     # kept (element, column) pairs still to scatter
     pairs = np.count_nonzero(cols >= 0)
     indptr = np.zeros(space.n_free + 1, dtype=np.int64)
@@ -261,56 +253,39 @@ def _scatter(space, elements, columns, local):
                                    shape=(space.n_free, space.n_free))
 
 
-def _splice_columns(A, part, columns):
-    """A with the columns in `columns` taken from `part`.  Both hold every
-    entry of those columns: the sums of a column are computed one column at
-    a time, in the order of the column's entries, so they are the ones a
-    full scatter makes."""
-    data = A.data.copy()
-    data[np.repeat(columns, np.diff(A.indptr))] = part.data
-    return type(A)((data, A.indices, A.indptr), shape=A.shape)
-
-
-def assemble_matrix(space, form, start=None):
-    """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs; `start`: on a
-    derived space, its base's matrix of `form` without h^delta, or None."""
+def assemble_matrix(space, form, dofs=None):
+    """Sparse matrix A[i,j] = a_h(N_j, N_i) over the free DOFs, in the
+    columns of the DOFs in the mask `dofs` only if one is given."""
     if form.kind == "adr" and not space.dirichlet:
         raise InvalidArgumentError("an adr form needs a space with Dirichlet constraints")
     rule, V, G = _element_data(space, 2 * space.degree)
-
-    def part(sp, elements, columns):
-        return _scatter(sp, elements, columns,
-                        lambda elems: _local_matrices(sp, form, rule, V, G, elems))
-
-    A = _system(space, start, part, _splice_columns)
+    A = _scatter(space, dofs, lambda elems: _local_matrices(space, form, rule, V, G, elems))
     if math.isfinite(form.delta):
-        A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS)
+        A = A + space.mesh.h ** form.delta * assemble_matrix(space, MASS, dofs)
     return A
 
 
-def assemble_load(space, form, u, start=None):
-    """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u.
+def assemble_load(space, form, u, dofs=None):
+    """Load vector b[i] = a_h(u, N_i) over the free DOFs, for exact u, in the
+    rows of the DOFs in the mask `dofs` only if one is given.
 
     The element vectors are computed block by block into one
     (elements, n_local) array and summed into b by one bincount, so the
     samples of u at the quadrature points are held for one block at a time.
-    `start` is the base's load, as in `assemble_matrix`.
     """
     if form.s == 1 and u.gradient is None:
         raise InvalidArgumentError(
             f"form kind {form.kind!r} requires a gradient for the projected function")
     rule, V, G = _element_data(space, 2 * space.degree + 4)
-
-    def part(sp, elements, _rows):
-        b_el = _per_element(sp, elements, (sp.n_local,),
-                            lambda s, blk: _local_loads(s, form, u, rule, V, G, blk))
-        dofs = sp.element_dofs if elements is None else sp.element_dofs[elements]
-        return np.bincount(dofs.ravel(), weights=b_el.ravel(),
-                           minlength=sp.n_dofs)[sp.free_dofs]
-
-    b = _system(space, start, part, lambda full, new, rows: np.where(rows, new, full))
+    elements, element_dofs = _touching(space, dofs)
+    b_el = _per_element(space, elements, (space.n_local,),
+                        lambda s, blk: _local_loads(s, form, u, rule, V, G, blk))
+    b = np.bincount(element_dofs.ravel(), weights=b_el.ravel(), minlength=space.n_dofs)
+    if dofs is not None:
+        b[~dofs] = 0.0
+    b = b[space.free_dofs]
     if math.isfinite(form.delta):
-        b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u)
+        b = b + space.mesh.h ** form.delta * assemble_load(space, MASS, u, dofs)
     return b
 
 

@@ -128,11 +128,10 @@ class FeSpace:
 
     A space built on a mesh computes its numbering; one derived from the
     space of a pair's first mesh (`derived_space`) takes it.  On a derived
-    space, `base` is that space, `recomputed_dofs` masks the DOFs that a
-    differing element of the pair touches and `recomputed_elements` lists
-    the elements that touch one of them: assembly sums anew only the entries
-    of those DOFs, over those elements, on the base's system (`forms`,
-    `projection.project_pair`).  All three are None on a built space.
+    space, `base` is that space and `recomputed_dofs` masks the DOFs that a
+    differing element of the pair touches: `projection.project_pair`
+    assembles mesh b's system on those DOFs alone and takes the rest from
+    the base's.  Both are None on a built space.
     """
 
     def __init__(self, mesh, degree, dirichlet):
@@ -141,7 +140,7 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         self.dirichlet = bool(dirichlet)
-        self.base = self.recomputed_dofs = self.recomputed_elements = None
+        self.base = self.recomputed_dofs = None
 
         nn = mesh.n_nodes
         boundary = np.zeros(nn, dtype=bool)
@@ -199,8 +198,9 @@ def derived_space(space, pair):
     pair.mesh_a: its element DOFs, Dirichlet mask and free DOFs in their
     elimination order, with the DOF coordinates of mesh b.  The meshes share
     their element array and boundary nodes, so a space built on mesh b would
-    number its DOFs alike, up to the elimination order.  Its systems start
-    from those of `space` (`projection.project_pair`)."""
+    number its DOFs alike, up to the elimination order.  It assembles like
+    any space; `projection.project_pair` builds its systems from those of
+    `space`, assembling only the DOFs in `recomputed_dofs` anew."""
     if space.mesh is not pair.mesh_a:
         raise InvalidArgumentError("a space is derived from the space of the "
                                    "first mesh of the pair")
@@ -209,9 +209,7 @@ def derived_space(space, pair):
     out.dof_coords = _dof_coords(pair.mesh_b, space.edges)
     out.base = space
     out.recomputed_dofs = ~shared_dof_mask(pair, space)
-    out.recomputed_elements = np.flatnonzero(
-        out.recomputed_dofs[space.element_dofs].any(axis=1))
-    for arr in (out.dof_coords, out.recomputed_dofs, out.recomputed_elements):
+    for arr in (out.dof_coords, out.recomputed_dofs):
         arr.setflags(write=False)
     return out
 

@@ -143,6 +143,20 @@ class TestCmdStudy:
                 "level, above the budget of 262144") in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("velocity,problem", [
+        ("1e308, 1e308", "cannot be solved: Factor is exactly singular"),
+        ("1e300, 1e300", "has a solution that is not finite"),
+    ], ids=["singular", "not-finite"])
+    def test_a_system_that_cannot_be_solved_is_an_error(self, tmp_path, capsys,
+                                                        velocity, problem):
+        # finite velocities so large that the adr system overflows float64
+        path = write(tmp_path, "dimension = 2\ndegree = 2\nform = adr\n"
+                               f"velocity = {velocity}\nperturbation = single-node\n"
+                               "point = 0.25, 0.25\nu = sin_pi_2d\nlevels = 3\n")
+        assert main(["study", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the projection's system {problem}\n"
+
     @pytest.mark.parametrize("key", ["kappa", "velocity"])
     def test_adr_key_needs_adr_form(self, tmp_path, key):
         path = write(tmp_path, TABLE2_CONFIG + f"{key} = 1\n")
@@ -496,7 +510,7 @@ CONFIG_VALUES = {
     "degree": ["1", "2", "0", "3", "1.5"],
     "form": ["mass", "stiffness", "adr", "elastic", ""],
     "kappa": ["0", "1", "nan", "inf", "-1", "1e400"],
-    "velocity": ["0.5", "0.5,0.25", "nan,0", "", "a,b"],
+    "velocity": ["0.5", "0.5,0.25", "nan,0", "", "a,b", "1e308,1e308", "1e300,1e300"],
     "perturbation": ["single-node", "boundary-band", "shifted-second-node", "none"],
     "point": ["0.25", "0.25,0.25", "0.5,0.5,0.5", "nan", "2", "-1,0", ","],
     "fraction": ["0.25", "0", "0.5", "1", "-0.25", "nan", "inf"],

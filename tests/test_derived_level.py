@@ -1,9 +1,10 @@
 """Mesh b's level is derived from mesh a's: its mesh is built from a's element
 array with some nodes moved, so every shared element has a's geometry bit for
-bit; its space takes a's numbering, and its system starts from a's system,
-recomputing only the differing elements.  Each part must equal what building
-mesh b's level from scratch gives.  When few DOFs differ, mesh b's system is
-solved from mesh a's factor, to within rounding of its own LU solve."""
+bit; its space takes a's numbering, and its system is a's system with the
+columns and rows of the DOFs that a differing element touches assembled on
+mesh b (a DOF mask).  Each part must equal what building mesh b's level from
+scratch gives.  When few DOFs differ, mesh b's system is solved from mesh
+a's factor, to within rounding of its own LU solve."""
 
 import math
 from dataclasses import replace
@@ -78,29 +79,37 @@ def test_space_b_takes_a_numbering(table, index):
     assert np.array_equal(space_b.free_dofs, space_a.free_dofs)
 
 
+def _system_b(space_a, space_b, form, u):
+    """(A_a, b_a, A_b, b_b): mesh b's system as `project_pair` builds it to
+    factorise it, and mesh a's system it is built from, with h^delta (h:
+    mesh b's) times mesh a's mass system added for a finite delta."""
+    form_a = replace(form, delta=math.inf)
+    A_a, b_a = assemble_matrix(space_a, form_a), assemble_load(space_a, form_a, u)
+    A_b, b_b = projection._spliced(space_b, form_a, u, A_a, b_a)
+    if math.isfinite(form.delta):
+        # mesh b adds h^delta times its mass system, with mesh b's h
+        M_a, m_a = assemble_matrix(space_a, MASS), assemble_load(space_a, MASS, u)
+        M_b, m_b = projection._spliced(space_b, MASS, u, M_a, m_a)
+        scale = space_b.mesh.h ** form.delta
+        A_a, b_a = A_a + scale * M_a, b_a + scale * m_a
+        A_b, b_b = A_b + scale * M_b, b_b + scale * m_b
+    return A_a, b_a, A_b, b_b
+
+
 @pytest.mark.parametrize("table,index,form", SYSTEMS)
 def test_system_b_matches_a_fresh_assembly_and_shares_a_rows(table, index, form):
     cfg, pair = _level(table, index)
     u = named_function(cfg.u)
     space_a, space_b = _spaces(pair, cfg.degree)
-    # mesh b starts from mesh a's system without h^delta, as project_pair passes it
-    form_a = replace(form, delta=math.inf)
-    A_a, b_a = assemble_matrix(space_a, form_a), assemble_load(space_a, form_a, u)
-    A_b = assemble_matrix(space_b, form, start=A_a)
-    b_b = assemble_load(space_b, form, u, start=b_a)
-    if math.isinf(form.delta):
-        # a start that holds only the recomputed columns gives only those
-        recomputed = space_b.recomputed_dofs[space_b.free_dofs]
-        columns = assemble_matrix(space_b, form,
-                                  start=projection._columns(A_a, recomputed))
-        S = np.flatnonzero(recomputed)
-        assert columns.nnz == A_b[:, S].nnz
-        assert (columns[:, S] != A_b[:, S]).nnz == 0
-    if math.isfinite(form.delta):
-        # mesh b adds h^delta times its mass system, with mesh b's h
-        scale = pair.mesh_b.h ** form.delta
-        A_a = A_a + scale * assemble_matrix(space_a, MASS)
-        b_a = b_a + scale * assemble_load(space_a, MASS, u)
+    A_a, b_a, A_b, b_b = _system_b(space_a, space_b, form, u)
+    # the masked assembly holds every entry of the recomputed columns and
+    # nothing else, bitwise those of mesh b's system
+    dofs = space_b.recomputed_dofs
+    S = np.flatnonzero(dofs[space_b.free_dofs])
+    columns = assemble_matrix(space_b, form, dofs)
+    assert columns.nnz == A_b[:, S].nnz
+    assert (columns[:, S] != A_b[:, S]).nnz == 0
+    assert np.array_equal(assemble_load(space_b, form, u, dofs)[S], b_b[S])
 
     fresh = build_space(_from_scratch(pair.mesh_b), cfg.degree, dirichlet=True)
     A_f = _by_dof(fresh, assemble_matrix(fresh, form))
@@ -113,10 +122,6 @@ def test_system_b_matches_a_fresh_assembly_and_shares_a_rows(table, index, form)
     assert 0 < shared.sum() < shared.size
     assert (A_b[shared] != A_a[shared]).nnz == 0
     assert np.array_equal(b_b[shared], b_a[shared])
-
-    # without a start, mesh b assembles a's system anew: same system
-    assert (assemble_matrix(space_b, form) != A_b).nnz == 0
-    assert np.array_equal(assemble_load(space_b, form, u), b_b)
 
 
 def _count_factorisations(monkeypatch):
@@ -152,13 +157,53 @@ def test_project_pair_is_two_projections(table, index, form, monkeypatch):
                           project(space_a, replace(form, delta=math.inf), u).coeffs)
     direct = project(space_b, form, u).coeffs
     if not reused:
-        assert np.array_equal(f_b.coeffs, direct)
+        _, _, A_b, b_b = _system_b(space_a, space_b, form, u)
+        assert f_b.coeffs[space_b.free_dofs].tobytes() == projection._factor(A_b).solve(
+            b_b).tobytes()
+        assert np.abs(f_b.coeffs - direct).max() <= 1e-12 * np.abs(direct).max()
         return
     # solved from mesh a's factor: the direct solution up to rounding, and as
     # accurate a solution of mesh b's system
     assert np.abs(f_b.coeffs - direct).max() <= 1e-12 * np.abs(direct).max()
     assert (_relative_residual(space_b, form, u, f_b.coeffs)
             <= 2 * _relative_residual(space_b, form, u, direct))
+
+
+def test_the_splice_path_releases_mesh_a_factor_before_it_assembles_on_mesh_b(
+        monkeypatch):
+    # the band pair factorises both systems; holding mesh a's LU while
+    # mesh b's system is assembled would raise the peak of a large level
+    cfg = TABLES[6].configs[1]
+    pair = _pair(cfg, 3)
+    space_a, space_b = _spaces(pair, cfg.degree)
+    events = []
+
+    class Factor:
+        def __init__(self, A):
+            self.lu = factor(A)
+            self.nnz = self.lu.nnz
+            events.append("factor")
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+        def __del__(self):
+            events.append("release")
+
+    def on_mesh_b(name, wrapped):
+        def assemble(space, *args):
+            if space is space_b:
+                events.append(name)
+            return wrapped(space, *args)
+        return assemble
+
+    factor = projection._factor
+    monkeypatch.setattr(projection, "_factor", Factor)
+    for name in ("assemble_matrix", "assemble_load"):
+        monkeypatch.setattr(projection, name, on_mesh_b(name, getattr(projection, name)))
+    project_pair(space_a, space_b, cfg.form, named_function(cfg.u))
+    assert events == ["factor", "release", "assemble_matrix", "assemble_load",
+                      "factor", "release"]
 
 
 @pytest.mark.parametrize("cfg,level,form,count", [
@@ -214,26 +259,17 @@ def test_project_pair_rejects_a_space_not_derived_from_the_first(pair1d8):
         project_pair(space_a, other_a, MASS, u)
 
 
-def test_start_needs_a_derived_space(pair1d8):
-    space_a, _ = _spaces(pair1d8, 1)
-    u = named_function("sin_pi")
-    with pytest.raises(InvalidArgumentError, match="derived space"):
-        assemble_matrix(space_a, MASS, start=assemble_matrix(space_a, MASS))
-    with pytest.raises(InvalidArgumentError, match="derived space"):
-        assemble_load(space_a, MASS, u, start=assemble_load(space_a, MASS, u))
-
-
 def test_table_6_assembles_each_system_once_per_config_and_level(monkeypatch):
-    # 2 configs x 6 levels: one full assembly on mesh a and one restricted to
-    # the recomputed elements on mesh b, for the matrix (one _scatter call)
-    # and for the load (one _per_element call)
+    # 2 configs x 6 levels: one full assembly on mesh a and one masked to the
+    # recomputed DOFs on mesh b, for the matrix (one _scatter call) and for
+    # the load (one _per_element call, on the elements that touch them)
     counts = {}
 
     def counting(system, wrapped):
-        def counted(space, elements, *args):
-            key = (system, "full" if elements is None else "recomputed")
+        def counted(space, restricted, *args):
+            key = (system, "full" if restricted is None else "recomputed")
             counts[key] = counts.get(key, 0) + 1
-            return wrapped(space, elements, *args)
+            return wrapped(space, restricted, *args)
         return counted
 
     monkeypatch.setattr(forms, "_scatter", counting("matrix", forms._scatter))

@@ -6,11 +6,13 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearproj import (BilinearFormSpec, FunctionSpec, InvalidArgumentError, MASS,
                       NormSpec, STIFFNESS, assemble_load, assemble_matrix,
                       build_space, build_uniform_interval, build_uniform_square,
-                      fe_norm, perturb_node_nearest)
+                      fe_norm, named_function, perturb_node_nearest)
 from nearproj import forms, space
 from nearproj.forms import _element_data, _local_matrices
 from nearproj.space import evaluate, physical_points
@@ -200,15 +202,17 @@ class TestChunkedScatter:
     same bits."""
 
     @staticmethod
-    def one_conversion(s, elements, columns, local):
+    def one_conversion(s, dofs, local):
         index = np.full(s.n_dofs, -1)
         index[s.free_dofs] = np.arange(s.n_free)
+        elements = (slice(None) if dofs is None
+                    else np.flatnonzero(dofs[s.element_dofs].any(axis=1)))
         conn = index[s.element_dofs[elements]]
         rows = np.repeat(conn, s.n_local, axis=1).ravel()
         cols = np.tile(conn, (1, s.n_local)).ravel()
         keep = (rows >= 0) & (cols >= 0)
-        if columns is not None:
-            keep &= columns[cols]
+        if dofs is not None:
+            keep &= dofs[s.free_dofs][cols]
         return scipy.sparse.coo_matrix(
             (local[elements].ravel()[keep], (rows[keep], cols[keep])),
             shape=(s.n_free, s.n_free)).tocsc()
@@ -224,16 +228,13 @@ class TestChunkedScatter:
         mesh = build_uniform_interval(64) if dim == 1 else build_uniform_square(6)
         s = build_space(mesh, degree, dirichlet=dirichlet)
         local = rng.standard_normal((mesh.n_elements, s.n_local, s.n_local))
-        elements, columns = None, None
-        if restricted:      # as on a derived space: some elements and columns
-            elements = np.flatnonzero(rng.random(mesh.n_elements) < 0.5)
-            columns = rng.random(s.n_free) < 0.5
+        # as for the DOFs that a pair's differing elements touch: the columns
+        # of some DOFs, over the elements that touch them
+        dofs = rng.random(s.n_dofs) < 0.2 if restricted else None
         chunks = []
         monkeypatch.setattr(space, "BLOCK_ELEMENTS", 4)
-        got = forms._scatter(s, elements, columns,
-                             lambda e: chunks.append(e) or local[e])
-        want = self.one_conversion(
-            s, slice(None) if elements is None else elements, columns, local)
+        got = forms._scatter(s, dofs, lambda e: chunks.append(e) or local[e])
+        want = self.one_conversion(s, dofs, local)
         assert len(chunks) >= 3
         assert got.data.view(np.int64).tobytes() == want.data.view(np.int64).tobytes()
         assert np.array_equal(got.indices, want.indices)
@@ -241,6 +242,47 @@ class TestChunkedScatter:
         # the result owns its entries: no buffer of more than nnz behind them
         for arr in (got.data, got.indices):
             assert arr.base is None or arr.base.size == got.nnz
+
+
+class TestDofMask:
+    """Given a mask over the DOFs, assembly gives the full assembly's columns
+    of the matrix, and rows of the load, of the free DOFs in the mask, and
+    nothing else.  They are compared within rounding, not bitwise: an
+    element's load vector is computed in another block, which can round it
+    differently."""
+
+    SPACES = {(dim, degree): build_space(build_uniform_interval(32) if dim == 1
+                                         else build_uniform_square(6), degree,
+                                         dirichlet=True)
+              for dim in (1, 2) for degree in (1, 2)}
+    FORMS = {**TestReferenceTensorKernels.FORMS,
+             "delta": lambda d: replace(STIFFNESS, delta=0.5)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(SPACES)), kind=st.sampled_from(sorted(FORMS)),
+           seed=st.integers(0, 2 ** 32 - 1), fraction=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    def test_masked_columns_and_rows_are_the_full_assembly(self, key, kind, seed,
+                                                            fraction):
+        s = self.SPACES[key]
+        form = self.FORMS[kind](s.mesh.dimension)
+        u = named_function("sin_pi" if s.mesh.dimension == 1 else "sin_pi_2d")
+        dofs = np.random.default_rng(seed).random(s.n_dofs) < fraction
+        kept = dofs[s.free_dofs]
+        A, masked = assemble_matrix(s, form), assemble_matrix(s, form, dofs)
+        assert masked[:, ~kept].nnz == 0
+        assert abs(masked - A)[:, kept].toarray().max(initial=0) <= 1e-14 * abs(A).max()
+        b, masked = assemble_load(s, form, u), assemble_load(s, form, u, dofs)
+        assert not masked[~kept].any()
+        assert np.abs(masked - b)[kept].max(initial=0) <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("dofs", [np.ones(3, dtype=bool), np.arange(9)],
+                             ids=["length", "indices"])
+    def test_a_mask_is_one_boolean_per_dof(self, dofs, mesh1d8, sin1d):
+        s = build_space(mesh1d8, 1, dirichlet=True)
+        with pytest.raises(InvalidArgumentError, match="boolean mask over the 9 DOFs"):
+            assemble_matrix(s, MASS, dofs)
+        with pytest.raises(InvalidArgumentError, match="boolean mask over the 9 DOFs"):
+            assemble_load(s, MASS, sin1d, dofs)
 
 
 class TestAssembleLoad:

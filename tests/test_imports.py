@@ -1,6 +1,8 @@
-"""Every name a library module imports at module level is used in it: with no
-linter in the toolchain, this catches the import a refactor leaves behind.
-`__init__.py` is skipped, since its imports are the package's exports.
+"""Every name a library module imports at module level is used in it, and
+every private function of the library is referenced outside its own
+definition: with no linter in the toolchain, this catches the import or
+helper that a refactor leaves behind.  `__init__.py` is skipped by the
+import check, since its imports are the package's exports.
 
 Of scipy, the library uses only its sparse matrices and sparse LU: no module
 imports scipy.special or scipy.spatial, and a run that reproduces the paper's
@@ -41,6 +43,61 @@ def _unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == {}
+
+
+def _private_functions(tree):
+    """The private functions defined at module level or in a class body of
+    `tree`, dunder methods aside."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [node for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _references(tree):
+    """How often each name is read in `tree`, as a name, an attribute or an
+    imported name."""
+    found = {}
+    for node in ast.walk(tree):
+        names = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [alias.name for alias in node.names]
+                 if isinstance(node, ast.ImportFrom) else [])
+        for name in names:
+            found[name] = found.get(name, 0) + 1
+    return found
+
+
+def _unreferenced_private_functions(sources):
+    """(module, function) for each private function of the modules in
+    `sources`, a dict of module name to source, that no module references
+    outside the function's own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = {}
+    for tree in trees.values():
+        for name, count in _references(tree).items():
+            total[name] = total.get(name, 0) + count
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in _private_functions(tree)
+                  if total.get(node.name, 0) == _references(node).get(node.name, 0))
+
+
+def test_every_private_function_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private_functions(sources) == []
+
+
+def test_an_unreferenced_private_function_is_found():
+    sources = {"a.py": ("def _used():\n    pass\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "def _left_behind():\n    pass\n"
+                        "class C:\n"
+                        "    def __init__(self):\n        self._method()\n"
+                        "    def _method(self):\n        pass\n"
+                        "    def _stale(self):\n        pass\n"),
+               "b.py": "from .a import _used\n_used()\n"}
+    assert _unreferenced_private_functions(sources) == [
+        ("a.py", "_left_behind"), ("a.py", "_recursive"), ("a.py", "_stale")]
 
 
 def test_an_unused_import_is_found():
